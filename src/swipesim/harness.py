@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import csv
 import glob as globmod
+import itertools
 import json
 import math
+import operator
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -192,9 +194,18 @@ class ExperimentSpec:
     jobs: int = 1
 
 
+def _no_actions(dtype=np.float64) -> np.ndarray:
+    return np.empty(0, dtype=dtype)
+
+
 @dataclass
 class RunRecord:
-    """Aggregates of one (strategy, trace) session."""
+    """Aggregates of one (strategy, trace) session.
+
+    The `action_*` columns hold one entry per issued action: float64 arrays
+    (int64 for `action_videos`) as `session_record` and `load_report` build
+    them, though any sequence of numbers works.
+    """
 
     strategy: str
     trace_id: str
@@ -209,12 +220,12 @@ class RunRecord:
     n_swipes: int
     mean_range_s: float
     qoe_norm: float = 0.0
-    action_durations: list[float] = field(default_factory=list)
-    action_qs: list[float] = field(default_factory=list)
-    action_issued: list[float] = field(default_factory=list)
-    action_videos: list[int] = field(default_factory=list)
-    action_bitrates: list[float] = field(default_factory=list)
-    action_rewards: list[float] = field(default_factory=list)
+    action_durations: np.ndarray = field(default_factory=_no_actions)
+    action_qs: np.ndarray = field(default_factory=_no_actions)
+    action_issued: np.ndarray = field(default_factory=_no_actions)
+    action_videos: np.ndarray = field(default_factory=lambda: _no_actions(np.int64))
+    action_bitrates: np.ndarray = field(default_factory=_no_actions)
+    action_rewards: np.ndarray = field(default_factory=_no_actions)
 
 
 @dataclass
@@ -258,7 +269,12 @@ class Report:
 
 
 def session_record(strategy: Strategy, metrics: SessionMetrics, trace: Trace) -> RunRecord:
-    durations = [a.duration_s for a in metrics.actions]
+    actions = metrics.actions
+
+    def column(attr: str, dtype=np.float64) -> np.ndarray:
+        return np.fromiter((getattr(a, attr) for a in actions), dtype=dtype, count=len(actions))
+
+    durations = column("duration_s")
     return RunRecord(
         strategy=strategy.name,
         trace_id=trace.trace_id,
@@ -269,15 +285,15 @@ def session_record(strategy: Strategy, metrics: SessionMetrics, trace: Trace) ->
         watched_bits=metrics.watched_bits,
         wasted_bits=metrics.wasted_bits,
         waste_ratio=metrics.waste_ratio,
-        n_actions=len(metrics.actions),
+        n_actions=len(actions),
         n_swipes=metrics.n_swipes,
-        mean_range_s=float(np.mean(durations)) if durations else 0.0,
+        mean_range_s=float(np.mean(durations)) if durations.size else 0.0,
         action_durations=durations,
-        action_qs=[a.q_mbps for a in metrics.actions],
-        action_issued=[a.issued_at_s for a in metrics.actions],
-        action_videos=[a.video_index for a in metrics.actions],
-        action_bitrates=[a.bitrate_mbps for a in metrics.actions],
-        action_rewards=[a.reward for a in metrics.actions],
+        action_qs=column("q_mbps"),
+        action_issued=column("issued_at_s"),
+        action_videos=column("video_index", np.int64),
+        action_bitrates=column("bitrate_mbps"),
+        action_rewards=column("reward"),
     )
 
 
@@ -440,6 +456,15 @@ REPORT_HEADER = (
     "watched_bits,wasted_bits,waste_ratio,n_actions,n_swipes,mean_range_s"
 )
 ACTIONS_HEADER = "strategy,trace_id,issued_at_s,video_index,duration_s,bitrate_mbps,q_mbps,reward"
+# actions.csv column, its RunRecord attribute and parser, in ACTIONS_HEADER order.
+ACTION_COLUMNS = (
+    ("issued_at_s", "action_issued", float),
+    ("video_index", "action_videos", int),
+    ("duration_s", "action_durations", float),
+    ("bitrate_mbps", "action_bitrates", float),
+    ("q_mbps", "action_qs", float),
+    ("reward", "action_rewards", float),
+)
 
 
 def write_report(report: Report, out_dir) -> None:
@@ -456,14 +481,8 @@ def write_report(report: Report, out_dir) -> None:
     with open(out / "actions.csv", "w") as fh:
         fh.write(ACTIONS_HEADER + "\n")
         for r in report.runs:
-            for t, vi, d, b, q, rew in zip(
-                r.action_issued,
-                r.action_videos,
-                r.action_durations,
-                r.action_bitrates,
-                r.action_qs,
-                r.action_rewards,
-            ):
+            columns = (np.asarray(getattr(r, attr)).tolist() for _, attr, _ in ACTION_COLUMNS)
+            for t, vi, d, b, q, rew in zip(*columns):
                 fh.write(f"{r.strategy},{r.trace_id},{t!r},{vi},{d!r},{b!r},{q!r},{rew!r}\n")
     with open(out / "summary.json", "w") as fh:
         json.dump(report.summary(), fh, indent=2, sort_keys=True)
@@ -471,7 +490,12 @@ def write_report(report: Report, out_dir) -> None:
 
 
 def load_report(run_dir) -> Report:
-    """Rebuild a Report from report.csv + actions.csv written earlier."""
+    """Rebuild a Report from the report.csv, actions.csv and summary.json
+    that write_report wrote.
+
+    actions.csv is streamed: each run's rows become its action arrays when
+    they end, so only one run's rows are held as Python objects at a time.
+    """
     run = Path(run_dir)
     runs: list[RunRecord] = []
     index: dict[tuple[str, str], RunRecord] = {}
@@ -499,21 +523,29 @@ def load_report(run_dir) -> Report:
                 index[(rec.strategy, rec.trace_id)] = rec
                 if rec.strategy not in strategies:
                     strategies.append(rec.strategy)
-        with open(run / "actions.csv") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rec = index[(row["strategy"], row["trace_id"])]
-                rec.action_issued.append(float(row["issued_at_s"]))
-                rec.action_videos.append(int(row["video_index"]))
-                rec.action_durations.append(float(row["duration_s"]))
-                rec.action_bitrates.append(float(row["bitrate_mbps"]))
-                rec.action_qs.append(float(row["q_mbps"]))
-                rec.action_rewards.append(float(row["reward"]))
+        with open(run / "actions.csv", newline="") as fh:
+            reader = csv.reader(fh)
+            header = next(reader, [])
+            run_key = operator.itemgetter(header.index("strategy"), header.index("trace_id"))
+            value_at = [header.index(name) for name, _, _ in ACTION_COLUMNS]
+            for key, group in itertools.groupby(filter(None, reader), key=run_key):
+                rec, rows = index[key], list(group)
+                for (_, attr, parse), at in zip(ACTION_COLUMNS, value_at):
+                    parsed = [parse(row[at]) for row in rows]
+                    setattr(rec, attr, np.append(getattr(rec, attr), parsed))
+        with open(run / "summary.json") as fh:
+            seed = int(json.load(fh)["seed"])
     except OSError as err:
         raise DataError(f"cannot load report from {run_dir}: {err}")
-    except (KeyError, ValueError) as err:
+    except (KeyError, IndexError, ValueError) as err:
         raise DataError(f"malformed report in {run_dir}: {err}")
-    return Report(runs=runs, strategies=tuple(strategies), seed=0)
+    return Report(runs=runs, strategies=tuple(strategies), seed=seed)
+
+
+def _pooled(columns) -> np.ndarray:
+    """One float64 array of per-run action columns, in run order."""
+    parts = [np.asarray(c, dtype=np.float64) for c in columns]
+    return np.concatenate(parts) if parts else np.empty(0)
 
 
 def range_medians_by_trace_tercile(report: Report, strategy: str) -> dict[str, float]:
@@ -526,10 +558,8 @@ def range_medians_by_trace_tercile(report: Report, strategy: str) -> dict[str, f
     groups = np.array_split(np.arange(len(runs)), 3)
     out: dict[str, float] = {}
     for name, idxs in zip(("low", "mid", "high"), groups):
-        durations: list[float] = []
-        for i in idxs:
-            durations.extend(runs[int(i)].action_durations)
-        out[name] = float(np.median(durations)) if durations else math.nan
+        durations = _pooled(runs[int(i)].action_durations for i in idxs)
+        out[name] = float(np.median(durations)) if durations.size else math.nan
     return out
 
 
@@ -554,16 +584,11 @@ def emit_plots_data(report: Report, out_dir, n_bins: int = 24) -> None:
     with open(out / "range_hist.csv", "w") as fh:
         fh.write("strategy,tercile,bin_lo,bin_hi,count,density\n")
         for s in report.strategies:
-            qs: list[float] = []
-            ds: list[float] = []
-            for r in report.runs:
-                if r.strategy == s:
-                    qs.extend(r.action_qs)
-                    ds.extend(r.action_durations)
-            if not qs:
+            runs = [r for r in report.runs if r.strategy == s]
+            q_arr = _pooled(r.action_qs for r in runs)
+            d_arr = _pooled(r.action_durations for r in runs)
+            if not q_arr.size:
                 continue
-            q_arr = np.asarray(qs)
-            d_arr = np.asarray(ds)
             q33, q67 = np.quantile(q_arr, [1.0 / 3.0, 2.0 / 3.0])
             # Every action lands in exactly one tercile.
             bins_by_name = {

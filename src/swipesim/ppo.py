@@ -14,12 +14,11 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
+from .media import BITS_PER_MEGABIT
 from .policy import MlpNet, Mlp, PolicyConfig
 
 if TYPE_CHECKING:
     from .media import Trace
-
-BITS_PER_MEGABIT = 1_000_000.0
 
 
 @dataclass(frozen=True)

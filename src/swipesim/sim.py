@@ -201,6 +201,35 @@ def abr_select(
     return best
 
 
+def attribute_windows(
+    events: Sequence[StallEvent | SwipeEvent], issued: Sequence[float]
+) -> list[tuple[float, float]]:
+    """Waste bits and stall seconds of every action window, in one sweep.
+
+    Window i is [issued[i], issued[i+1]); the last one runs to infinity and
+    events before the first action fall in none. `issued` is non-decreasing
+    and `events` is in non-decreasing start order, as a session appends
+    them. Each window hands `attribute_reward_terms` only the stretch of the
+    log that can touch it, in log order, so its sums add the same terms in
+    the same order as a rescan of the whole log and match it bit for bit.
+    """
+    begins = [ev.time_s if isinstance(ev, SwipeEvent) else ev.start_s for ev in events]
+    ends = [ev.time_s if isinstance(ev, SwipeEvent) else ev.end_s for ev in events]
+    n = len(events)
+    lo = hi = 0
+    terms = []
+    for i, start in enumerate(issued):
+        end = issued[i + 1] if i + 1 < len(issued) else math.inf
+        # An event over before this window starts touches no later one either.
+        while lo < n and ends[lo] < start:
+            lo += 1
+        hi = max(hi, lo)
+        while hi < n and begins[hi] < end:
+            hi += 1
+        terms.append(attribute_reward_terms(events[lo:hi], start, end))
+    return terms
+
+
 def _entropy(seed) -> tuple[int, ...]:
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
@@ -418,10 +447,10 @@ class _Session:
             self.metrics.bitrate_weighted_watch_s += watched / BITS_PER_MEGABIT
         self.metrics.wall_time_s = self.t
         actions = self.metrics.actions
-        for i, rec in enumerate(actions):
-            end = actions[i + 1].issued_at_s if i + 1 < len(actions) else math.inf
-            w_bits, bt_s = attribute_reward_terms(self.events, rec.issued_at_s, end)
-            rec.closed_at_s = end if math.isfinite(end) else self.t
+        issued = [rec.issued_at_s for rec in actions]
+        terms = attribute_windows(self.events, issued)
+        for i, (rec, (w_bits, bt_s)) in enumerate(zip(actions, terms)):
+            rec.closed_at_s = issued[i + 1] if i + 1 < len(issued) else self.t
             rec.waste_bits = w_bits
             rec.rebuffer_s = bt_s
             rec.reward = compute_reward(

@@ -98,12 +98,22 @@ class FitError(ValueError):
 
 @dataclass(frozen=True)
 class FitConfig:
-    """Knobs for the least-squares fitter and its acceptance thresholds."""
+    """Knobs for the least-squares fitter and its acceptance thresholds.
+
+    `bucket_edges` rise strictly from 0 to inf, so every positive duration
+    falls in exactly one bucket.
+    """
 
     n_min: int = 30
     min_r2: float = 0.6
     gamma_grid: int = 192
     bucket_edges: tuple[float, ...] = DEFAULT_BUCKET_EDGES
+
+    def __post_init__(self):
+        edges = self.bucket_edges
+        rising = all(lo < hi for lo, hi in zip(edges, edges[1:]))
+        if len(edges) < 2 or edges[0] != 0.0 or edges[-1] != math.inf or not rising:
+            raise ValueError(f"bucket_edges must rise strictly from 0 to inf, got {edges}")
 
 
 @dataclass(frozen=True)
@@ -324,8 +334,16 @@ class ParamTable:
             fh.write("\n".join(lines) + ("\n" if lines else ""))
 
     @classmethod
-    def load(cls, path, bucket_edges: tuple[float, ...] = DEFAULT_BUCKET_EDGES) -> "ParamTable":
-        table = cls(bucket_edges=bucket_edges)
+    def load(cls, path) -> "ParamTable":
+        """Read a table written by `save`.
+
+        The bucket edges are those of the file's `ladder` keys plus 0 and
+        inf, so a table fitted with custom edges looks up the buckets it
+        was fitted on. Buckets whose fit failed are absent from the file;
+        adjacent ones merge into one span with no fit, so durations there
+        still raise LadderMissingError.
+        """
+        table = cls()
         with open(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 raw = raw.strip()
@@ -349,6 +367,7 @@ class ParamTable:
                     table.ladder[(float(lo), float(hi))] = fit
                 else:
                     raise ValueError(f"{path}:{lineno}: unknown dimension {dim!r}")
+        table.bucket_edges = tuple(sorted({0.0, math.inf, *(e for key in table.ladder for e in key)}))
         return table
 
 

@@ -25,6 +25,7 @@ from swipesim.harness import (
     load_retention,
     load_watch_records,
     range_medians_by_trace_tercile,
+    run_experiment,
     session_record,
     write_report,
 )
@@ -291,7 +292,7 @@ def test_session_record_maps_metrics():
     assert rec.waste_ratio == 0.25
     assert rec.n_actions == 2 and rec.n_swipes == 3
     assert rec.mean_range_s == 2.0
-    assert rec.action_durations == [1.0, 3.0]
+    assert rec.action_durations.tolist() == [1.0, 3.0]
 
 
 def test_report_normalization():
@@ -335,9 +336,19 @@ def test_write_then_load_report_round_trips(tmp_path):
         assert got.strategy == orig.strategy and got.trace_id == orig.trace_id
         assert got.qoe == orig.qoe and got.qoe_norm == orig.qoe_norm
         assert got.downloaded_bits == orig.downloaded_bits
-        assert got.action_durations == orig.action_durations
-        assert got.action_qs == orig.action_qs
+        assert got.action_durations.tolist() == orig.action_durations
+        assert got.action_qs.tolist() == orig.action_qs
     assert json.loads((tmp_path / "summary.json").read_text())["strategies"] == ["a", "b"]
+
+
+def test_load_report_rejects_short_action_rows(tmp_path):
+    rep = Report(runs=[_record("a", "t1", 1.0, 2.0, [1.0, 2.0])], strategies=("a",), seed=4)
+    write_report(rep, tmp_path)
+    assert load_report(tmp_path).seed == 4
+    with open(tmp_path / "actions.csv", "a") as fh:
+        fh.write("a,t1,3.0,0\n")
+    with pytest.raises(DataError, match="malformed report"):
+        load_report(tmp_path)
 
 
 def test_load_report_missing_dir(tmp_path):
@@ -450,6 +461,31 @@ def test_cli_parallel_run_is_byte_identical(pipeline, tmp_path):
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(run2), "--jobs", "2"]) == 0
     for name in ("report.csv", "actions.csv", "summary.json"):
         assert (run1 / name).read_bytes() == (run2 / name).read_bytes()
+
+
+def test_run_experiment_jobs_do_not_change_reports(pipeline, tmp_path):
+    _, cfg, _ = pipeline
+    reports = {}
+    for jobs in (1, 2):
+        spec = experiment_spec(load_config(cfg), jobs=jobs)
+        reports[jobs] = run_experiment(spec, tmp_path / f"j{jobs}")
+    for name in ("report.csv", "actions.csv", "summary.json"):
+        assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
+    # The action arrays cross the process pool intact.
+    for serial, pooled in zip(reports[1].runs, reports[2].runs):
+        for attr in ("action_issued", "action_videos", "action_durations",
+                     "action_bitrates", "action_qs", "action_rewards"):
+            a, b = getattr(serial, attr), getattr(pooled, attr)
+            assert a.dtype == b.dtype and a.tolist() == b.tolist()
+    assert reports[2].runs[0].action_videos.dtype == np.int64
+
+
+def test_cli_report_prints_the_runs_seed(pipeline, capsys):
+    _, _, run1 = pipeline
+    assert load_report(run1).seed == 3
+    capsys.readouterr()
+    assert cli_main(["report", "--run", str(run1)]) == 0
+    assert '"seed": 3,' in capsys.readouterr().out
 
 
 def test_cli_error_exit_codes(tmp_path):

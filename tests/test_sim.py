@@ -1,16 +1,21 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import buffer_to, flat_trace, make_video, run_random_session
+from swipesim import sim
 from swipesim.demand import uniform_survival
 from swipesim.media import VideoMeta, VideoState
 from swipesim.policy import FixedRangeStrategy, NaiveFixedStrategy, Strategy
-from swipesim.ppo import compute_reward
+from swipesim.ppo import StallEvent, SwipeEvent, attribute_reward_terms, compute_reward
 from swipesim.sim import (
     RetentionSource,
     SimConfig,
     TaskSample,
     abr_select,
+    attribute_windows,
     estimate_network,
     run_session,
     sample_watch_time,
@@ -201,3 +206,76 @@ def test_session_is_deterministic_in_seed():
         assert (a.issued_at_s, a.duration_s, a.bitrate_mbps, a.reward) == (
             b.issued_at_s, b.duration_s, b.bitrate_mbps, b.reward
         )
+
+
+# --- reward attribution ----------------------------------------------------------
+
+
+def rescan(events, issued):
+    """Reference attribution: every window scans the whole event log."""
+    ends = [*issued[1:], math.inf]
+    return [attribute_reward_terms(events, start, end) for start, end in zip(issued, ends)]
+
+
+@st.composite
+def event_logs(draw):
+    """A log in start order and the issue times of its action windows, on a
+    0.1 s grid so swipes and stall edges land exactly on window edges."""
+    events = []
+    for k in sorted(draw(st.lists(st.integers(0, 60), max_size=30))):
+        if draw(st.booleans()):
+            events.append(SwipeEvent(k / 10, draw(st.floats(0.0, 1e7))))
+        else:
+            events.append(StallEvent(k / 10, (k + draw(st.integers(0, 25))) / 10))
+    issued = sorted(draw(st.lists(st.integers(0, 60), min_size=1, max_size=12)))
+    return events, [k / 10 for k in issued]
+
+
+@settings(max_examples=300, deadline=None)
+@given(event_logs())
+# swipes exactly at a window's start and at its end
+@example(([SwipeEvent(1.0, 3e6), SwipeEvent(2.0, 5e6)], [1.0, 2.0]))
+# a stall crossing a window boundary
+@example(([StallEvent(0.5, 1.5)], [0.0, 1.0]))
+# events before the first action
+@example(([SwipeEvent(0.2, 1e6), StallEvent(0.3, 0.9), StallEvent(0.9, 1.3)], [1.0, 2.0]))
+# windows without events
+@example(([StallEvent(0.1, 0.2), SwipeEvent(5.0, 1.0)], [0.0, 1.0, 2.0, 3.0, 4.0]))
+# a single action
+@example(([StallEvent(0.0, 0.4), SwipeEvent(0.7, 2.5e6)], [0.3]))
+def test_sweep_attribution_matches_rescan(log):
+    events, issued = log
+    assert attribute_windows(events, issued) == rescan(events, issued)
+
+
+def test_sweep_splits_a_stall_across_windows():
+    assert attribute_windows([StallEvent(0.5, 1.5)], [0.0, 1.0]) == [(0.0, 0.5), (0.0, 0.5)]
+
+
+def test_sweep_matches_rescan_on_a_starved_session(monkeypatch):
+    scanned = []
+
+    def counting(events, start, end):
+        scanned.append(len(events))
+        return attribute_reward_terms(events, start, end)
+
+    monkeypatch.setattr(sim, "attribute_reward_terms", counting)
+    metas = [VideoMeta(f"v{i}", 20.0, (1.0,)) for i in range(4)]
+    retention = RetentionSource(empirical={m.video_id: [12.0] for m in metas})
+    cfg = SimConfig(videos_per_session=4)
+    session = sim._Session(
+        flat_trace(0.3), iter(VideoState(meta=m) for m in metas), retention,
+        FixedRangeStrategy("deload_5s", 5.0, survival=uniform_survival), cfg, 0, "viewer", None,
+    )
+    m = session.run()
+    # Starved: one stall event per 100 ms step dwarfs the action count.
+    assert len(session.events) > 10 * len(m.actions)
+    assert m.wasted_bits > 0.0
+    for rec, (w_bits, bt_s) in zip(m.actions, rescan(session.events, [a.issued_at_s for a in m.actions])):
+        assert (rec.waste_bits, rec.rebuffer_s) == (w_bits, bt_s)
+        assert rec.reward == compute_reward(
+            rec.delivered_s, rec.bitrate_mbps, w_bits, bt_s, rec.q_mbps, cfg.reward
+        )
+    # One pass over the log, not one per action.
+    assert len(scanned) == len(m.actions)
+    assert sum(scanned) <= 2 * len(session.events)

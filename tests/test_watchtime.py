@@ -7,6 +7,7 @@ from scipy import integrate
 
 from swipesim.media import WatchRecord
 from swipesim.watchtime import (
+    DEFAULT_BUCKET_EDGES,
     DimensionalEstimates,
     FitConfig,
     FitError,
@@ -240,6 +241,55 @@ def test_table_save_load_round_trip(tmp_path):
     p2 = tmp_path / "again.csv"
     loaded.save(p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def _bucketed_records(durations, rng):
+    """40 draws per duration, each from its own user and video."""
+    truth = WeibullParams(1.3, 6.0, 0.5)
+    return [
+        WatchRecord(f"u{d}-{i}", f"v{d}-{i % 2}", d, float(t))
+        for d in durations
+        for i, t in enumerate(sample_weibull(truth, rng, 40))
+    ]
+
+
+def test_table_load_derives_custom_bucket_edges(tmp_path):
+    edges = (0.0, 20.0, 45.0, math.inf)
+    fitted = build_param_table(_bucketed_records((10.0, 30.0, 90.0), np.random.default_rng(5)),
+                               FitConfig(bucket_edges=edges))
+    fitted.save(tmp_path / "table.csv")
+    loaded = ParamTable.load(tmp_path / "table.csv")
+    assert loaded.bucket_edges == edges
+    for duration in (5.0, 20.0, 30.0, 44.9, 45.0, 600.0):
+        assert loaded.fused("u", "v10.0-0", duration) == fitted.fused("u", "v10.0-0", duration)
+
+
+def test_table_load_keeps_default_bucket_edges(tmp_path):
+    fitted = build_param_table(
+        _bucketed_records((10.0, 20.0, 40.0, 90.0, 300.0), np.random.default_rng(6))
+    )
+    assert len(fitted.ladder) == 5
+    fitted.save(tmp_path / "table.csv")
+    loaded = ParamTable.load(tmp_path / "table.csv")
+    assert loaded.bucket_edges == DEFAULT_BUCKET_EDGES
+    assert (loaded.video, loaded.user, loaded.ladder) == (fitted.video, fitted.user, fitted.ladder)
+
+
+def test_table_load_unfitted_buckets_still_raise(tmp_path):
+    # Only the 30-60 s bucket has enough samples; the shortest and longest fail.
+    fitted = build_param_table(_bucketed_records((40.0,), np.random.default_rng(7)))
+    fitted.save(tmp_path / "table.csv")
+    loaded = ParamTable.load(tmp_path / "table.csv")
+    assert loaded.fused("u", "v", 40.0) == fitted.fused("u", "v", 40.0)
+    for duration in (10.0, 500.0):
+        with pytest.raises(LadderMissingError):
+            loaded.fused("u", "v", duration)
+
+
+def test_fit_config_rejects_bad_bucket_edges():
+    for edges in ((0.0, 20.0), (5.0, 20.0, math.inf), (0.0, 30.0, 20.0, math.inf), (0.0,)):
+        with pytest.raises(ValueError, match="bucket_edges"):
+            FitConfig(bucket_edges=edges)
 
 
 def test_table_load_rejects_malformed(tmp_path):
