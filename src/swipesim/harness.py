@@ -10,6 +10,7 @@ equal runs produce byte-identical files.
 from __future__ import annotations
 
 import csv
+import ctypes
 import glob as globmod
 import itertools
 import json
@@ -424,6 +425,20 @@ def train_policy(
     return train(net, traces, session_factory, train_cfg, seed, dump_path=dump_path)
 
 
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the OS, where glibc allows it.
+
+    Pool workers fork from this process and start with every page it holds
+    resident, freed or not. Without the trim a worker's footprint grows with
+    whatever earlier work in this process left fragmented in the heap.
+    """
+    try:
+        trim = ctypes.CDLL(None).malloc_trim
+    except (AttributeError, OSError, TypeError):  # not glibc, or no C library handle
+        return
+    trim(0)
+
+
 def run_experiment(spec: ExperimentSpec, out_dir) -> Report:
     """Evaluate every strategy on every trace and write the report files."""
     traces = ingest_traces(spec.traces_glob)
@@ -440,6 +455,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> Report:
         for ti, trace in enumerate(traces)
     ]
     if spec.jobs > 1:
+        _release_free_heap()
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             runs = list(pool.map(_worker, tasks, chunksize=8))
     else:

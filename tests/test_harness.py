@@ -1,6 +1,7 @@
 import csv
 import json
 import math
+import os
 import shutil
 import subprocess
 from pathlib import Path
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import flat_trace
+from swipesim import harness
 from swipesim.cli import main as cli_main
 from swipesim.config import experiment_spec, load_config
 from swipesim.harness import (
@@ -478,6 +480,17 @@ def test_run_experiment_jobs_do_not_change_reports(pipeline, tmp_path):
             a, b = getattr(serial, attr), getattr(pooled, attr)
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
     assert reports[2].runs[0].action_videos.dtype == np.int64
+
+
+def test_heap_release_before_pool_starts_no_process(monkeypatch):
+    # A helper process forked here would inherit this process's whole heap
+    # and count as a child as large as the parent.
+    def no_process(*args, **kwargs):
+        raise AssertionError("a process was started")
+
+    monkeypatch.setattr(subprocess, "Popen", no_process)
+    monkeypatch.setattr(os, "fork", no_process)
+    harness._release_free_heap()
 
 
 def test_cli_report_prints_the_runs_seed(pipeline, capsys):
