@@ -5,6 +5,15 @@ demand-based video selection, a learned continuous range policy trained with
 PPO, fixed baselines, and an experiment harness with deterministic reports.
 """
 
+import os
+
+# One BLAS thread: PPO updates are bit-reproducible only at a fixed thread
+# count. A value the user set wins. BLAS reads these when numpy first loads,
+# so the pin has no effect in a process that imported numpy before swipesim.
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_var, "1")
+del _var
+
 from .demand import DemandVector, compute_demands, demand_playing, select_video
 from .harness import (
     ConfigError,

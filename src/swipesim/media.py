@@ -97,10 +97,6 @@ class VideoState:
         """Media seconds not yet covered by any downloaded range."""
         return self.meta.duration_s - self.buffered_s
 
-    @property
-    def fully_buffered(self) -> bool:
-        return self.remaining_download_s <= EPS_S
-
     def delivered_bits(self) -> float:
         return sum(seg.delivered_bits for seg in self.segments)
 
@@ -174,13 +170,22 @@ class Trace:
             total += bw * (hi - self._rel_s[i])
         return total / self._period_s
 
-    def bandwidth_at(self, t_s: float) -> float:
-        """Bandwidth in Mbps at absolute session time `t_s` (cyclic)."""
+    def segment_at(self, t_s: float) -> tuple[float, float, float]:
+        """The constant stretch holding session time `t_s`: (start, end, Mbps).
+
+        Start and end are offsets into the period: the bandwidth holds at
+        every time whose offset `t % period` lies in [start, end).
+        """
         u = t_s % self._period_s
         i = bisect.bisect_right(self._rel_s, u) - 1
         if i < 0:
             i = 0
-        return self._bw[i]
+        end = self._rel_s[i + 1] if i + 1 < len(self._rel_s) else self._period_s
+        return self._rel_s[i], end, self._bw[i]
+
+    def bandwidth_at(self, t_s: float) -> float:
+        """Bandwidth in Mbps at absolute session time `t_s` (cyclic)."""
+        return self.segment_at(t_s)[2]
 
 
 class Playlist:

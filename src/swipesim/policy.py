@@ -7,6 +7,7 @@ differences and makes training bit-reproducible.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Sequence
@@ -22,7 +23,7 @@ from .demand import (
     uniform_survival,
 )
 from .media import EPS_S, VideoState
-from .watchtime import weibull_quantile
+from .watchtime import WeibullParams, weibull_quantile
 
 FIELDS_PER_VIDEO = 6
 LOG_2PI = math.log(2.0 * math.pi)
@@ -83,8 +84,16 @@ class RangeAction:
     raw: float  # pre-clamp Gaussian draw
 
 
-def _clip01(x: float) -> float:
-    return min(max(x, 0.0), 1.0)
+@functools.lru_cache(maxsize=4096)
+def _watch_features(params: WeibullParams, d: float, e_high: float, e_low: float) -> tuple[float, float]:
+    """Clipped (h / d, l / d) of one video.
+
+    A pure function of its inputs, memoized so each video's two quantiles
+    are computed once rather than on every decision that sees it queued.
+    """
+    high = min(weibull_quantile(params, e_high), d)
+    low = min(weibull_quantile(params, e_low), d)
+    return min(max(high / d, 0.0), 1.0), min(max(low / d, 0.0), 1.0)
 
 
 def build_state(
@@ -102,25 +111,31 @@ def build_state(
     video duration. Tail: [q / throughput cap, rtt / rtt cap, selected / k].
     Every entry lands in [0, 1].
     """
-    feats = np.zeros(cfg.state_dim, dtype=np.float64)
-    for i in range(min(len(playlist), cfg.k)):
+    feats: list[float] = []
+    n = min(len(playlist), cfg.k)
+    for i in range(n):
         v = playlist[i]
-        d = v.meta.duration_s
-        base = i * FIELDS_PER_VIDEO
-        feats[base + 0] = _clip01(v.chosen_bitrate / v.meta.bitrate_ladder[-1])
-        feats[base + 1] = _clip01(v.buffered_s / d)
-        feats[base + 2] = _clip01(d / cfg.duration_cap_s)
-        feats[base + 3] = _clip01(v.play_pos_s / d)
+        meta = v.meta
+        d = meta.duration_s
         if cfg.include_watch_estimates and v.watch_params is not None:
-            high = min(weibull_quantile(v.watch_params, cfg.e_high), d)
-            low = min(weibull_quantile(v.watch_params, cfg.e_low), d)
-            feats[base + 4] = _clip01(high / d)
-            feats[base + 5] = _clip01(low / d)
-    tail = FIELDS_PER_VIDEO * cfg.k
-    feats[tail + 0] = _clip01(q_mbps / cfg.throughput_cap_mbps)
-    feats[tail + 1] = _clip01(rtt_ms / cfg.rtt_cap_ms)
-    feats[tail + 2] = _clip01(selected / cfg.k)
-    return PolicyState(features=feats)
+            high, low = _watch_features(v.watch_params, d, cfg.e_high, cfg.e_low)
+        else:
+            high = low = 0.0
+        feats += (
+            min(max(v.chosen_bitrate / meta.bitrate_ladder[-1], 0.0), 1.0),
+            min(max(v.buffered_s / d, 0.0), 1.0),
+            min(max(d / cfg.duration_cap_s, 0.0), 1.0),
+            min(max(v.play_pos_s / d, 0.0), 1.0),
+            high,
+            low,
+        )
+    feats += [0.0] * (FIELDS_PER_VIDEO * (cfg.k - n))
+    feats += (
+        min(max(q_mbps / cfg.throughput_cap_mbps, 0.0), 1.0),
+        min(max(rtt_ms / cfg.rtt_cap_ms, 0.0), 1.0),
+        min(max(selected / cfg.k, 0.0), 1.0),
+    )
+    return PolicyState(features=np.array(feats, dtype=np.float64))
 
 
 class Mlp:
@@ -209,18 +224,24 @@ def softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def policy_forward(net: MlpNet, state: PolicyState) -> tuple[ActionDistribution, float]:
-    """Evaluate both nets on one state; raises on non-finite outputs."""
+def actor_distribution(net: MlpNet, state: PolicyState) -> ActionDistribution:
+    """Evaluate the actor alone on one state; raises on non-finite outputs."""
     raw, _ = net.actor.forward(state.features)
-    value, _ = net.critic.forward(state.features)
     mean = math.tanh(float(raw[0, 0]))
     stddev = float(softplus(raw[0, 1]))
+    if not (math.isfinite(mean) and math.isfinite(stddev)):
+        raise FloatingPointError(f"non-finite policy output: mean={mean} stddev={stddev}")
+    return ActionDistribution(mean=mean, stddev=stddev)
+
+
+def policy_forward(net: MlpNet, state: PolicyState) -> tuple[ActionDistribution, float]:
+    """Evaluate both nets on one state; raises on non-finite outputs."""
+    dist = actor_distribution(net, state)
+    value, _ = net.critic.forward(state.features)
     val = float(value[0, 0])
-    if not (math.isfinite(mean) and math.isfinite(stddev) and math.isfinite(val)):
-        raise FloatingPointError(
-            f"non-finite policy output: mean={mean} stddev={stddev} value={val}"
-        )
-    return ActionDistribution(mean=mean, stddev=stddev), val
+    if not math.isfinite(val):
+        raise FloatingPointError(f"non-finite policy output: value={val}")
+    return dist, val
 
 
 def map_to_range(raw: float, cfg: PolicyConfig) -> float:
@@ -346,7 +367,10 @@ def load_checkpoint(path) -> MlpNet:
 
 @dataclass
 class PolicyExtras:
-    """Training payload attached to a learned-policy decision."""
+    """Training payload attached to a sampled learned-policy decision.
+
+    Deterministic (evaluation) decisions carry none: they run only the actor.
+    """
 
     features: np.ndarray
     raw: float
@@ -445,16 +469,13 @@ class LearnedRangeStrategy(Strategy):
         if idx is None:
             return None
         state = build_state(playlist, idx, q_mbps, rtt_ms, self.cfg)
-        dist, value = policy_forward(self.net, state)
         if self.deterministic:
-            action = RangeAction(
-                duration_s=map_to_range(dist.mean, self.cfg),
-                log_prob=gaussian_log_prob(dist.mean, dist.mean, dist.stddev),
-                value_estimate=value,
-                raw=dist.mean,
-            )
-        else:
-            action = sample_action(dist, rng, self.cfg, value_estimate=value)
+            # Evaluation acts at the actor's mean; the critic's value and the
+            # training payload would go unread.
+            dist = actor_distribution(self.net, state)
+            return Decision(index=idx, duration_s=map_to_range(dist.mean, self.cfg), demands=dv)
+        dist, value = policy_forward(self.net, state)
+        action = sample_action(dist, rng, self.cfg, value_estimate=value)
         extras = PolicyExtras(
             features=state.features,
             raw=action.raw,

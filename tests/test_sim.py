@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import numpy as np
@@ -7,10 +8,11 @@ from hypothesis import example, given, settings, strategies as st
 from conftest import buffer_to, flat_trace, make_video, run_random_session
 from swipesim import sim
 from swipesim.demand import uniform_survival
-from swipesim.media import VideoMeta, VideoState
+from swipesim.media import NetworkSample, Trace, VideoMeta, VideoState
 from swipesim.policy import FixedRangeStrategy, NaiveFixedStrategy, Strategy
 from swipesim.ppo import StallEvent, SwipeEvent, attribute_reward_terms, compute_reward
 from swipesim.sim import (
+    BandwidthCursor,
     RetentionSource,
     SimConfig,
     TaskSample,
@@ -18,7 +20,6 @@ from swipesim.sim import (
     attribute_windows,
     estimate_network,
     run_session,
-    sample_watch_time,
 )
 from swipesim.watchtime import WeibullParams
 
@@ -100,6 +101,34 @@ def test_estimate_network_prior_then_window():
     assert rtt == 50.0
 
 
+@pytest.mark.parametrize("window", [0, 1, 3, 5])
+def test_bounded_history_gives_the_unbounded_estimates(monkeypatch, window):
+    made, seen = [], []
+    estimate = sim.estimate_network
+
+    def recording_sample(**kw):
+        made.append(TaskSample(**kw))
+        return made[-1]
+
+    def checking_estimate(history, config):
+        assert len(history) <= window
+        seen.append((estimate(history, config), estimate(list(made), config)))
+        return seen[-1][0]
+
+    monkeypatch.setattr(sim, "TaskSample", recording_sample)
+    monkeypatch.setattr(sim, "estimate_network", checking_estimate)
+    metas = [VideoMeta(f"v{i}", 12.0, (0.5, 1.0, 2.0)) for i in range(6)]
+    retention = RetentionSource(empirical={m.video_id: [2.5 + 1.5 * i] for i, m in enumerate(metas)})
+    trace = Trace("steps", [NetworkSample(i * 700.0, 0.4 + (i % 4)) for i in range(9)])
+    cfg = SimConfig(videos_per_session=6, throughput_window=window)
+    run_session(
+        trace, iter(VideoState(meta=m) for m in metas), retention,
+        FixedRangeStrategy("deload_1s", 1.0, survival=uniform_survival), cfg, seed=4,
+    )
+    assert len(made) > 20 and len(seen) > len(made)
+    assert all(got == want for got, want in seen)
+
+
 def test_abr_select_picks_highest_sustainable_rung():
     ladder = (1.0, 2.0, 4.0)
     assert abr_select(ladder, 3.0, 0.0) == 2.0
@@ -116,9 +145,9 @@ def test_retention_empirical_capped_at_duration():
     video = make_video(duration_s=30.0)
     src = RetentionSource(empirical={"v0": [100.0]})
     rng = np.random.default_rng(0)
-    assert sample_watch_time(src, "u", video, rng) == 30.0
+    assert src.sample("u", video, rng) == 30.0
     floor = RetentionSource(empirical={"v0": [-5.0]})
-    assert sample_watch_time(floor, "u", video, rng) == 0.0
+    assert floor.sample("u", video, rng) == 0.0
 
 
 def test_retention_parametric_mean():
@@ -265,7 +294,7 @@ def test_sweep_matches_rescan_on_a_starved_session(monkeypatch):
     cfg = SimConfig(videos_per_session=4)
     session = sim._Session(
         flat_trace(0.3), iter(VideoState(meta=m) for m in metas), retention,
-        FixedRangeStrategy("deload_5s", 5.0, survival=uniform_survival), cfg, 0, "viewer", None,
+        FixedRangeStrategy("deload_5s", 5.0, survival=uniform_survival), cfg, 0, "viewer",
     )
     m = session.run()
     # Starved: one stall event per 100 ms step dwarfs the action count.
@@ -279,3 +308,51 @@ def test_sweep_matches_rescan_on_a_starved_session(monkeypatch):
     # One pass over the log, not one per action.
     assert len(scanned) == len(m.actions)
     assert sum(scanned) <= 2 * len(session.events)
+
+
+# --- cached bandwidth lookup ------------------------------------------------------
+
+
+def _reference_bandwidth_at(trace, t_s):
+    """Trace.bandwidth_at as the engine called it on every step: a bisect."""
+    rel = [(s.timestamp_ms - trace.samples[0].timestamp_ms) / 1000.0 for s in trace.samples]
+    u = t_s % trace.duration_s
+    i = max(bisect.bisect_right(rel, u) - 1, 0)
+    return trace.samples[i].bandwidth_mbps
+
+
+@st.composite
+def traces_and_clocks(draw):
+    n = draw(st.integers(1, 6))
+    t0 = draw(st.integers(0, 10_000))
+    stamps = [t0]
+    for _ in range(n - 1):
+        stamps.append(stamps[-1] + draw(st.integers(1, 3000)))
+    bws = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
+    trace = Trace("h", [NetworkSample(float(ts), bw) for ts, bw in zip(stamps, bws)])
+    period = trace.duration_s
+    rel = [(ts - stamps[0]) / 1000.0 for ts in stamps]
+    # Exact sample boundaries and period wraps, free times, and a stepping
+    # clock that accumulates its float error the way the engine's does.
+    times = [r + k * period for k in range(3) for r in rel] + [k * period for k in range(1, 4)]
+    times += draw(st.lists(st.floats(0.0, 4.0 * period), max_size=20))
+    t, dt = 0.0, draw(st.sampled_from([0.1, 0.05, 0.3]))
+    while t < 3.0 * period:
+        times.append(t)
+        t += dt
+    return trace, sorted(times)
+
+
+@settings(max_examples=200, deadline=None)
+@given(traces_and_clocks())
+@example((Trace("one", [NetworkSample(0.0, 3.0)]), [0.0, 0.5, 1.0, 1.0, 2.5, 3.0]))
+def test_bandwidth_cursor_matches_trace_lookup(case):
+    trace, times = case
+    cursor = BandwidthCursor(trace)
+    for t in times:
+        want = _reference_bandwidth_at(trace, t)
+        assert cursor.bandwidth_at(t) == want
+        assert trace.bandwidth_at(t) == want
+    # Any order stays correct; it only falls back to the bisect more often.
+    for t in reversed(times):
+        assert cursor.bandwidth_at(t) == _reference_bandwidth_at(trace, t)

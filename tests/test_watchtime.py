@@ -275,6 +275,27 @@ def test_table_load_keeps_default_bucket_edges(tmp_path):
     assert (loaded.video, loaded.user, loaded.ladder) == (fitted.video, fitted.user, fitted.ladder)
 
 
+def test_table_bucket_keys_round_trip_exactly(tmp_path):
+    edges = (0.0, 12.3456789, math.inf)
+    fitted = build_param_table(_bucketed_records((5.0, 30.0), np.random.default_rng(8)),
+                               FitConfig(bucket_edges=edges))
+    assert set(fitted.ladder) == {(0.0, 12.3456789), (12.3456789, math.inf)}
+    fitted.save(tmp_path / "table.csv")
+    loaded = ParamTable.load(tmp_path / "table.csv")
+    assert loaded.bucket_edges == edges
+    assert loaded.ladder == fitted.ladder
+
+
+def test_table_default_bucket_keys_keep_their_short_form(tmp_path):
+    fitted = build_param_table(
+        _bucketed_records((10.0, 20.0, 40.0, 90.0, 300.0), np.random.default_rng(6))
+    )
+    fitted.save(tmp_path / "table.csv")
+    keys = [line.split(",")[1] for line in (tmp_path / "table.csv").read_text().splitlines()
+            if line.startswith("ladder,")]
+    assert keys == ["0-15", "15-30", "30-60", "60-120", "120-inf"]
+
+
 def test_table_load_unfitted_buckets_still_raise(tmp_path):
     # Only the 30-60 s bucket has enough samples; the shortest and longest fail.
     fitted = build_param_table(_bucketed_records((40.0,), np.random.default_rng(7)))
