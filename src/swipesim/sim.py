@@ -22,7 +22,7 @@ from .media import (
     RangeSegment,
     Trace,
     VideoState,
-    advance_playback,  # noqa: F401  inlined in _Session._play; the benchmark's tracer hooks it here
+    advance_playback,  # noqa: F401  inlined in _Session.run; the benchmark's tracer hooks it here
     swipe,
 )
 from .policy import PolicyExtras, Strategy
@@ -105,7 +105,6 @@ class SessionMetrics:
     downloaded_bits: float = 0.0
     watched_bits: float = 0.0
     wasted_bits: float = 0.0
-    bitrate_weighted_watch_s: float = 0.0
     played_s: float = 0.0
     wall_time_s: float = 0.0
     n_swipes: int = 0
@@ -166,16 +165,8 @@ def estimate_network(history: Sequence[TaskSample], config: SimConfig) -> tuple[
     return q, rtt
 
 
-def abr_select(
-    ladder: tuple[float, ...],
-    q_mbps: float,
-    buffer_ahead_s: float,
-    safety: float = 0.8,
-) -> float:
-    """Highest ladder rung at or below safety * q, floored at the lowest rung.
-
-    `buffer_ahead_s` is unused by this rule.
-    """
+def abr_select(ladder: tuple[float, ...], q_mbps: float, safety: float = 0.8) -> float:
+    """Highest ladder rung at or below safety * q, floored at the lowest rung."""
     budget = safety * q_mbps
     best = ladder[0]
     for rung in ladder:
@@ -219,7 +210,8 @@ class BandwidthCursor:
     Keeps the constant-bandwidth stretch of the trace that the last lookup
     landed in and answers from it while `t % period` stays inside; any other
     time falls back to the trace's bisect lookup. Every answer is the
-    trace's own; non-decreasing times make the fallback rare.
+    trace's own; non-decreasing times make the fallback rare. The session's
+    step loop tests `lo`/`hi` itself and calls `bandwidth_at` only on a miss.
     """
 
     def __init__(self, trace: Trace):
@@ -291,7 +283,7 @@ class _Session:
             self.sleep_until = self.t + cfg.pause_ms / 1000.0
             return
         video = self.playlist[decision.index]
-        bitrate = abr_select(video.meta.bitrate_ladder, q, video.buffer_ahead_s, cfg.abr_safety)
+        bitrate = abr_select(video.meta.bitrate_ladder, q, cfg.abr_safety)
         headroom = cfg.b_max_s - video.buffer_ahead_s
         duration = min(decision.duration_s, video.remaining_download_s, headroom)
         if duration <= 0.0:
@@ -324,31 +316,6 @@ class _Session:
                 policy=decision.extras,
             )
         )
-
-    def _transfer(self, dt: float) -> None:
-        task = self.active
-        assert task is not None
-        span = dt
-        if task.rtt_remaining_s > 0.0:
-            used = min(task.rtt_remaining_s, span)
-            task.rtt_remaining_s -= used
-            span -= used
-        if span <= 0.0:
-            return
-        bw = self.bandwidth.bandwidth_at(self.t)
-        bits = bw * BITS_PER_MEGABIT * span
-        need = task.extent_bits - task.delivered_bits
-        if bits >= need:
-            take = need
-            task.delivered_bits = task.extent_bits
-        else:
-            take = bits
-            task.delivered_bits += take
-        task.segment.delivered_bits += take
-        task.video.buffered_s = task.segment.end_s
-        self.metrics.downloaded_bits += take
-        if task.delivered_bits >= task.extent_bits:
-            self._complete_task(end_wall=self.t + dt)
 
     def _complete_task(self, end_wall: float) -> None:
         task = self.active
@@ -394,58 +361,120 @@ class _Session:
         self.events.append(SwipeEvent(time_s=wall, wasted_bits=res.wasted_bits))
         self.metrics.wasted_bits += res.wasted_bits
         self.metrics.watched_bits += res.watched_bits
-        self.metrics.bitrate_weighted_watch_s += res.watched_bits / BITS_PER_MEGABIT
         self.metrics.n_swipes += 1
         for nv in res.added:
             self._sample_watch(nv)
         if self.active is not None:
             self.cancel_pending = True
 
-    def _play(self, dt: float) -> None:
-        videos = self.playlist.videos
-        remaining = dt
-        while remaining > 1e-12 and videos:
-            v = videos[0]
-            meta = v.meta
-            pos = v.play_pos_s
-            target = min(self.watch_times[meta.video_id], meta.duration_s)
-            if pos >= target - EPS_S:
-                self._swipe_now(wall=self.t + dt - remaining)
-                continue
-            step = min(remaining, min(v.buffered_s, target) - pos)
-            if step > 1e-15:
-                # advance_playback(v, step), inlined: target <= duration, so
-                # step <= buffered - pos and <= duration - pos, and the
-                # playhead moves by all of it with no rebuffer.
-                v.play_pos_s = pos + step
-                self.metrics.played_s += step
-                remaining -= step
-                continue
-            start = self.t + dt - remaining
-            self.events.append(StallEvent(start_s=start, end_s=self.t + dt))
-            self.metrics.total_rebuffer_s += remaining
-            remaining = 0.0
-
     # -- orchestration -----------------------------------------------------
 
     def run(self) -> SessionMetrics:
+        """Step the session to its end, one `step_ms` tick per iteration.
+
+        A tick lets an idle, awake downloader issue a task, moves the active
+        task's bits after its first-byte latency, plays with sub-step swipes
+        and stalls, and cancels the task a swipe left pending. Hot state
+        lives in locals, written back before each call that reads it; sums
+        keep their order and each `min` pick returns `min`'s operand, so the
+        results are bit-identical to updating every field in place.
+        """
         cfg = self.config
         dt = cfg.step_ms / 1000.0
         t_end = cfg.max_session_s - 1e-12
         videos = self.playlist.videos
-        while videos and self.t < t_end:
-            if self.active is None and self.t >= self.sleep_until - 1e-12:
+        watch_times = self.watch_times
+        events = self.events
+        cursor = self.bandwidth
+        period = cursor.period
+        lo, hi, bw = cursor.lo, cursor.hi, cursor.bw
+        m = self.metrics
+        downloaded, played, rebuffer = m.downloaded_bits, m.played_s, m.total_rebuffer_s
+        t = self.t
+        wake = self.sleep_until - 1e-12
+        task = cur = None
+        while videos and t < t_end:
+            if task is None and t >= wake:
+                self.t = t
                 self._decide()
-            if self.active is not None:
-                self._transfer(dt)
-            self._play(dt)
+                task = self.active
+                if task is None:
+                    wake = self.sleep_until - 1e-12
+                else:
+                    # The segment's bits equal the task's until the last step.
+                    seg, extent, rtt_left = task.segment, task.extent_bits, task.rtt_remaining_s
+                    got, seg_start = seg.delivered_bits, seg.start_s
+                    seg_rate = seg.bitrate_mbps * BITS_PER_MEGABIT
+                    tvideo = task.video
+
+            if task is not None:
+                span = dt
+                if rtt_left > 0.0:
+                    used = span if span < rtt_left else rtt_left
+                    rtt_left -= used
+                    span -= used
+                if span > 0.0:
+                    if not lo <= t % period < hi:
+                        bw = cursor.bandwidth_at(t)
+                        lo, hi = cursor.lo, cursor.hi
+                    bits = bw * BITS_PER_MEGABIT * span
+                    need = extent - got
+                    take = need if bits >= need else bits
+                    got += take
+                    tvideo.buffered_s = seg_start + got / seg_rate
+                    downloaded += take
+                    if bits >= need or got >= extent:
+                        seg.delivered_bits = got
+                        self._complete_task(end_wall=t + dt)
+                        task = None
+
+            remaining = dt
+            while remaining > 1e-12 and videos:
+                if cur is None:
+                    cur = videos[0]
+                    meta = cur.meta
+                    watch, duration = watch_times[meta.video_id], meta.duration_s
+                    target = duration if duration < watch else watch
+                    swipe_at = target - EPS_S
+                pos = cur.play_pos_s
+                if pos >= swipe_at:
+                    if task is not None:
+                        seg.delivered_bits = got
+                    self._swipe_now(wall=t + dt - remaining)
+                    # The next video plays: look its target up after the refill.
+                    cur = None
+                    continue
+                buffered = cur.buffered_s
+                edge = (target if target < buffered else buffered) - pos
+                step = edge if edge < remaining else remaining
+                if step > 1e-15:
+                    # advance_playback(cur, step), inlined: target <= duration,
+                    # so step <= buffered - pos and <= duration - pos, and the
+                    # playhead moves by all of it with no rebuffer.
+                    cur.play_pos_s = pos + step
+                    played += step
+                    remaining -= step
+                    continue
+                events.append(StallEvent(start_s=t + dt - remaining, end_s=t + dt))
+                rebuffer += remaining
+                remaining = 0.0
+
             if self.cancel_pending:
-                if self.active is not None:
-                    self._cancel_task(end_wall=self.t + dt)
+                if task is not None:
+                    seg.delivered_bits = task.delivered_bits = got
+                    task.rtt_remaining_s = rtt_left
+                    self._cancel_task(end_wall=t + dt)
+                    task = None
                 self.cancel_pending = False
-            self.t += dt
+            t += dt
+
+        self.t = t
+        if task is not None:
+            seg.delivered_bits = task.delivered_bits = got
+            task.rtt_remaining_s = rtt_left
+        m.downloaded_bits, m.played_s, m.total_rebuffer_s = downloaded, played, rebuffer
         self._finalize()
-        return self.metrics
+        return m
 
     def _finalize(self) -> None:
         if self.active is not None:
@@ -457,7 +486,6 @@ class _Session:
             wasted = v.delivered_bits() - watched
             self.metrics.watched_bits += watched
             self.metrics.wasted_bits += wasted
-            self.metrics.bitrate_weighted_watch_s += watched / BITS_PER_MEGABIT
         self.metrics.wall_time_s = self.t
         actions = self.metrics.actions
         issued = [rec.issued_at_s for rec in actions]

@@ -1,4 +1,5 @@
 import bisect
+import dataclasses
 import math
 
 import numpy as np
@@ -7,9 +8,16 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import buffer_to, flat_trace, make_video, run_random_session
 from swipesim import sim
-from swipesim.demand import uniform_survival
-from swipesim.media import NetworkSample, Trace, VideoMeta, VideoState
-from swipesim.policy import FixedRangeStrategy, NaiveFixedStrategy, Strategy
+from swipesim.demand import fitted_survival, uniform_survival
+from swipesim.media import BITS_PER_MEGABIT, EPS_S, NetworkSample, Trace, VideoMeta, VideoState
+from swipesim.policy import (
+    FixedRangeStrategy,
+    LearnedRangeStrategy,
+    MlpNet,
+    NaiveFixedStrategy,
+    PolicyConfig,
+    Strategy,
+)
 from swipesim.ppo import StallEvent, SwipeEvent, attribute_reward_terms, compute_reward
 from swipesim.sim import (
     BandwidthCursor,
@@ -131,11 +139,11 @@ def test_bounded_history_gives_the_unbounded_estimates(monkeypatch, window):
 
 def test_abr_select_picks_highest_sustainable_rung():
     ladder = (1.0, 2.0, 4.0)
-    assert abr_select(ladder, 3.0, 0.0) == 2.0
-    assert abr_select(ladder, 0.1, 0.0) == 1.0
-    assert abr_select(ladder, 100.0, 0.0) == 4.0
-    assert abr_select(ladder, 5.0, 0.0, safety=0.4) == 2.0
-    assert abr_select(ladder, 5.0, 0.0, safety=1.0) == 4.0
+    assert abr_select(ladder, 3.0) == 2.0
+    assert abr_select(ladder, 0.1) == 1.0
+    assert abr_select(ladder, 100.0) == 4.0
+    assert abr_select(ladder, 5.0, safety=0.4) == 2.0
+    assert abr_select(ladder, 5.0, safety=1.0) == 4.0
 
 
 # --- watch-time draws -----------------------------------------------------------
@@ -356,3 +364,189 @@ def test_bandwidth_cursor_matches_trace_lookup(case):
     # Any order stays correct; it only falls back to the bisect more often.
     for t in reversed(times):
         assert cursor.bandwidth_at(t) == _reference_bandwidth_at(trace, t)
+
+
+# --- fused step loop ----------------------------------------------------------------
+
+
+class _PerStepSession(sim._Session):
+    """The engine before its step loop was fused: `run`, `_transfer` and
+    `_play` as they were, every value read and written through `self`."""
+
+    def _transfer(self, dt: float) -> None:
+        task = self.active
+        assert task is not None
+        span = dt
+        if task.rtt_remaining_s > 0.0:
+            used = min(task.rtt_remaining_s, span)
+            task.rtt_remaining_s -= used
+            span -= used
+        if span <= 0.0:
+            return
+        bw = self.bandwidth.bandwidth_at(self.t)
+        bits = bw * BITS_PER_MEGABIT * span
+        need = task.extent_bits - task.delivered_bits
+        if bits >= need:
+            take = need
+            task.delivered_bits = task.extent_bits
+        else:
+            take = bits
+            task.delivered_bits += take
+        task.segment.delivered_bits += take
+        task.video.buffered_s = task.segment.end_s
+        self.metrics.downloaded_bits += take
+        if task.delivered_bits >= task.extent_bits:
+            self._complete_task(end_wall=self.t + dt)
+
+    def _play(self, dt: float) -> None:
+        videos = self.playlist.videos
+        remaining = dt
+        while remaining > 1e-12 and videos:
+            v = videos[0]
+            meta = v.meta
+            pos = v.play_pos_s
+            target = min(self.watch_times[meta.video_id], meta.duration_s)
+            if pos >= target - EPS_S:
+                self._swipe_now(wall=self.t + dt - remaining)
+                continue
+            step = min(remaining, min(v.buffered_s, target) - pos)
+            if step > 1e-15:
+                v.play_pos_s = pos + step
+                self.metrics.played_s += step
+                remaining -= step
+                continue
+            start = self.t + dt - remaining
+            self.events.append(StallEvent(start_s=start, end_s=self.t + dt))
+            self.metrics.total_rebuffer_s += remaining
+            remaining = 0.0
+
+    def run(self) -> sim.SessionMetrics:
+        cfg = self.config
+        dt = cfg.step_ms / 1000.0
+        t_end = cfg.max_session_s - 1e-12
+        videos = self.playlist.videos
+        while videos and self.t < t_end:
+            if self.active is None and self.t >= self.sleep_until - 1e-12:
+                self._decide()
+            if self.active is not None:
+                self._transfer(dt)
+            self._play(dt)
+            if self.cancel_pending:
+                if self.active is not None:
+                    self._cancel_task(end_wall=self.t + dt)
+                self.cancel_pending = False
+            self.t += dt
+        self._finalize()
+        return self.metrics
+
+
+def _exact(x):
+    """`x` with every float as its hex string and every array as its bytes,
+    so equality is bit equality: `==`, plus the sign of zero."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, [(f.name, _exact(getattr(x, f.name))) for f in dataclasses.fields(x)]
+    if isinstance(x, (list, tuple)):
+        return [_exact(v) for v in x]
+    return x
+
+
+@st.composite
+def engine_cases(draw):
+    """A recipe for one session; `_build(case)` makes fresh inputs from it.
+
+    Covers what the step loop branches on: 0 Mbps stretches, zero and
+    multi-step first-byte latency, watch times of 0 and at or past the end,
+    ids repeated within the queue (a refill redraws the shared watch time),
+    the session cap, an empty throughput window, and every strategy kind,
+    the learned ones sampling from the session's action stream.
+    """
+    n_videos = draw(st.integers(1, 7))
+    n_ids = draw(st.integers(1, n_videos))
+    videos = []
+    for i in range(n_videos):
+        duration = draw(st.sampled_from([0.3, 2.0, 9.5]) | st.floats(0.05, 15.0))
+        rungs = draw(st.lists(st.floats(0.2, 5.0), min_size=1, max_size=3))
+        watch = draw(
+            st.sampled_from([0.0, duration, 2.0 * duration])
+            | st.floats(0.0, duration)
+            | st.none()  # a Weibull draw from the video's parameters
+        )
+        shape, scale = draw(st.floats(0.5, 3.0)), draw(st.floats(0.5, 20.0))
+        videos.append((f"v{i % n_ids}", duration, tuple(sorted(set(rungs))), watch, (shape, scale, 0.0)))
+    gaps = draw(st.lists(st.integers(100, 2500), min_size=1, max_size=5))
+    stamps = [sum(gaps[:k]) for k in range(len(gaps))]
+    samples = [(ms, draw(st.just(0.0) | st.floats(0.0, 6.0))) for ms in stamps]
+    rtt_min = draw(st.sampled_from([0.0, 40.0]) | st.floats(0.0, 300.0))
+    rtt_max = draw(st.just(rtt_min) | st.floats(rtt_min, 400.0))
+    config = dict(
+        step_ms=draw(st.sampled_from([100.0, 100.0, 100.0, 50.0, 250.0])),
+        queue_depth=draw(st.integers(1, 5)),
+        b_max_s=draw(st.floats(0.5, 12.0)),
+        pause_ms=draw(st.sampled_from([500.0, 0.0, 150.0])),
+        rtt_min_ms=rtt_min,
+        rtt_max_ms=rtt_max,
+        throughput_window=draw(st.integers(0, 6)),
+        videos_per_session=n_videos,
+        max_session_s=draw(st.sampled_from([90.0, 0.0, 0.35, 2.5, 25.0])),
+    )
+    strategy = draw(st.sampled_from(["naive", "fixed", "uniform", "learned", "learned_no_wte", "learned_mean"]))
+    range_s = draw(st.floats(0.1, 8.0))
+    return videos, samples, config, strategy, range_s, draw(st.integers(0, 2**32))
+
+
+def _build(case):
+    videos, samples, config, kind, range_s, seed = case
+    states, empirical, params = [], {}, {}
+    for vid, duration, ladder, watch, wp in videos:
+        p = WeibullParams(*wp)
+        states.append(VideoState(meta=VideoMeta(vid, duration, ladder), watch_params=p))
+        params.setdefault(vid, p)
+        if watch is not None:
+            empirical.setdefault(vid, [watch])
+    trace = Trace("case", [NetworkSample(float(ms), bw) for ms, bw in samples])
+    if kind == "naive":
+        strategy = NaiveFixedStrategy("naive", range_s)
+    elif kind in ("fixed", "uniform"):
+        survival = uniform_survival if kind == "uniform" else fitted_survival
+        strategy = FixedRangeStrategy(kind, range_s, survival=survival)
+    else:
+        net = MlpNet.create(PolicyConfig(k=3, include_watch_estimates=kind != "learned_no_wte"), seed=seed % 97)
+        strategy = LearnedRangeStrategy(kind, net, deterministic=kind == "learned_mean")
+    retention = RetentionSource(empirical=empirical, params=params)
+    return trace, iter(states), retention, strategy, SimConfig(**config), seed
+
+
+@settings(max_examples=400, deadline=None)
+@given(engine_cases())
+# a stall on a dead link, then a swipe at the video's end
+@example(([("v0", 2.0, (1.0,), 2.0, (1.0, 5.0, 0.0))], [(0, 0.0), (1000, 3.0)],
+          dict(rtt_min_ms=0.0, rtt_max_ms=0.0, videos_per_session=1), "naive", 1.0, 0))
+# a viewer who leaves at once, mid-download, under the session cap
+@example(([("v0", 5.0, (1.0, 2.0), 0.0, (1.0, 5.0, 0.0)), ("v1", 5.0, (1.0,), 9.0, (1.0, 5.0, 0.0))],
+          [(0, 0.4)], dict(videos_per_session=2, max_session_s=4.0, throughput_window=0), "fixed", 3.0, 7))
+def test_fused_step_loop_matches_the_per_step_engine(case):
+    fused = sim._Session(*_build(case), "viewer")
+    reference = _PerStepSession(*_build(case), "viewer")
+    got, want = fused.run(), reference.run()
+    for f in dataclasses.fields(sim.SessionMetrics):
+        if f.name != "actions":
+            assert _exact(getattr(got, f.name)) == _exact(getattr(want, f.name)), f.name
+    assert len(got.actions) == len(want.actions)
+    for i, (a, b) in enumerate(zip(got.actions, want.actions)):
+        assert _exact(a) == _exact(b), i
+    assert fused.events == reference.events
+    assert _exact(fused.events) == _exact(reference.events)
+    assert (fused.t, fused.history, fused.watch_times) == (reference.t, reference.history, reference.watch_times)
+    assert _exact(list(fused.playlist)) == _exact(list(reference.playlist))
+
+
+@pytest.mark.parametrize("case_seed", range(12))
+def test_fused_step_loop_matches_on_random_sessions(monkeypatch, case_seed):
+    got = run_random_session(case_seed)
+    monkeypatch.setattr(sim, "_Session", _PerStepSession)
+    want = run_random_session(case_seed)
+    assert _exact(got) == _exact(want)
