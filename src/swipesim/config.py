@@ -199,7 +199,6 @@ def experiment_spec(cfg: AppConfig, seed: int | None = None, jobs: int | None = 
         checkpoint_path=p.checkpoint or None,
         no_wte_checkpoint_path=p.no_wte_checkpoint or None,
         sim=cfg.sim,
-        policy=cfg.policy,
         seed=cfg.seed if seed is None else seed,
         jobs=cfg.jobs if jobs is None else jobs,
     )

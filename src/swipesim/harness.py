@@ -190,7 +190,6 @@ class ExperimentSpec:
     checkpoint_path: str | None = None
     no_wte_checkpoint_path: str | None = None
     sim: SimConfig = field(default_factory=SimConfig)
-    policy: PolicyConfig = field(default_factory=PolicyConfig)
     seed: int = 0
     jobs: int = 1
 
@@ -404,7 +403,6 @@ def train_policy(
     train_cfg: TrainConfig,
     sim_cfg: SimConfig,
     seed: int,
-    dump_path=None,
 ) -> tuple[MlpNet, list[EpisodeLog]]:
     """Train a fresh range policy on the given traces.
 
@@ -422,7 +420,7 @@ def train_policy(
             trace, source, retention, strategy, sim_cfg, seed=(*entropy, 13), user_id=user
         )
 
-    return train(net, traces, session_factory, train_cfg, seed, dump_path=dump_path)
+    return train(net, traces, session_factory, train_cfg, seed)
 
 
 def _release_free_heap() -> None:

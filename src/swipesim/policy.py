@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -80,7 +80,6 @@ class RangeAction:
 
     duration_s: float
     log_prob: float
-    value_estimate: float
     raw: float  # pre-clamp Gaussian draw
 
 
@@ -111,29 +110,38 @@ def build_state(
     video duration. Tail: [q / throughput cap, rtt / rtt cap, selected / k].
     Every entry lands in [0, 1].
     """
+    # Each clip is written as the comparisons min(max(x, 0.0), 1.0) makes,
+    # returning the same operand (x itself for NaN and -0.0).
+    k = cfg.k
+    wte = cfg.include_watch_estimates
     feats: list[float] = []
-    n = min(len(playlist), cfg.k)
-    for i in range(n):
-        v = playlist[i]
+    for v in playlist[:k]:
         meta = v.meta
         d = meta.duration_s
-        if cfg.include_watch_estimates and v.watch_params is not None:
+        if wte and v.watch_params is not None:
             high, low = _watch_features(v.watch_params, d, cfg.e_high, cfg.e_low)
         else:
             high = low = 0.0
+        rate = v.chosen_bitrate / meta.bitrate_ladder[-1]
+        buf = v.buffered_s / d
+        dur = d / cfg.duration_cap_s
+        pos = v.play_pos_s / d
         feats += (
-            min(max(v.chosen_bitrate / meta.bitrate_ladder[-1], 0.0), 1.0),
-            min(max(v.buffered_s / d, 0.0), 1.0),
-            min(max(d / cfg.duration_cap_s, 0.0), 1.0),
-            min(max(v.play_pos_s / d, 0.0), 1.0),
+            0.0 if rate < 0.0 else 1.0 if rate > 1.0 else rate,
+            0.0 if buf < 0.0 else 1.0 if buf > 1.0 else buf,
+            0.0 if dur < 0.0 else 1.0 if dur > 1.0 else dur,
+            0.0 if pos < 0.0 else 1.0 if pos > 1.0 else pos,
             high,
             low,
         )
-    feats += [0.0] * (FIELDS_PER_VIDEO * (cfg.k - n))
+    feats += [0.0] * (FIELDS_PER_VIDEO * k - len(feats))
+    q = q_mbps / cfg.throughput_cap_mbps
+    rtt = rtt_ms / cfg.rtt_cap_ms
+    sel = selected / k
     feats += (
-        min(max(q_mbps / cfg.throughput_cap_mbps, 0.0), 1.0),
-        min(max(rtt_ms / cfg.rtt_cap_ms, 0.0), 1.0),
-        min(max(selected / cfg.k, 0.0), 1.0),
+        0.0 if q < 0.0 else 1.0 if q > 1.0 else q,
+        0.0 if rtt < 0.0 else 1.0 if rtt > 1.0 else rtt,
+        0.0 if sel < 0.0 else 1.0 if sel > 1.0 else sel,
     )
     return PolicyState(features=np.array(feats, dtype=np.float64))
 
@@ -162,17 +170,23 @@ class Mlp:
         return len(self.weights)
 
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
-        """Run a batch (n, in_dim) through the net; returns (out, cache)."""
+        """Run a batch (n, in_dim) through the net; returns (out, cache).
+
+        A stacked batch (n, 1, in_dim) runs one single-row product per row,
+        so row i matches a forward of that row alone bit for bit.
+        """
         h = np.asarray(x, dtype=np.float64)
         if h.ndim == 1:
             h = h[None, :]
         cache = [h]
+        last = self.n_layers - 1
         for i in range(self.n_layers):
-            z = h @ self.weights[i] + self.biases[i]
-            if i < self.n_layers - 1:
-                h = np.maximum(z, 0.0)
-            else:
-                h = z
+            # In place: the same IEEE operations as `max(h @ w + b, 0)`
+            # without a batch-sized temporary per step.
+            h = h @ self.weights[i]
+            h += self.biases[i]
+            if i < last:
+                np.maximum(h, 0.0, out=h)
             cache.append(h)
         return h, cache
 
@@ -183,8 +197,9 @@ class Mlp:
         for i in range(self.n_layers - 1, -1, -1):
             h_in = cache[i]
             if i < self.n_layers - 1:
-                # ReLU mask of this layer's activation output.
-                delta = delta * (cache[i + 1] > 0.0)
+                # ReLU mask of this layer's activation output. `delta` here
+                # is always the product below, never the caller's `dout`.
+                delta *= cache[i + 1] > 0.0
             dw = h_in.T @ delta
             db = delta.sum(axis=0)
             grads[i] = (dw, db)
@@ -259,7 +274,6 @@ def sample_action(
     dist: ActionDistribution,
     rng: np.random.Generator,
     cfg: PolicyConfig,
-    value_estimate: float = 0.0,
 ) -> RangeAction:
     """Draw a raw Gaussian action and map it to a range duration.
 
@@ -270,7 +284,6 @@ def sample_action(
     return RangeAction(
         duration_s=map_to_range(raw, cfg),
         log_prob=gaussian_log_prob(raw, dist.mean, dist.stddev),
-        value_estimate=value_estimate,
         raw=raw,
     )
 
@@ -369,13 +382,13 @@ def load_checkpoint(path) -> MlpNet:
 class PolicyExtras:
     """Training payload attached to a sampled learned-policy decision.
 
-    Deterministic (evaluation) decisions carry none: they run only the actor.
+    Deterministic (evaluation) decisions carry none. The critic's value is
+    not part of it: `ppo_update` computes it for the whole batch.
     """
 
     features: np.ndarray
     raw: float
     log_prob: float
-    value: float
 
 
 @dataclass
@@ -449,6 +462,11 @@ class NaiveFixedStrategy(Strategy):
 class LearnedRangeStrategy(Strategy):
     """Demand-based selection with the actor-critic range policy.
 
+    Every decision runs the actor only. Evaluation (`deterministic`) acts
+    at its mean; training samples an action and attaches the state, draw
+    and log-probability for `ppo_update`, which computes the critic's old
+    values for the whole batch before it changes any weight.
+
     With `use_watch_estimates` off the strategy runs the estimation-free
     variant: uniform watch-time survival for demands and zeroed high/low
     state features.
@@ -469,19 +487,11 @@ class LearnedRangeStrategy(Strategy):
         if idx is None:
             return None
         state = build_state(playlist, idx, q_mbps, rtt_ms, self.cfg)
+        dist = actor_distribution(self.net, state)
         if self.deterministic:
-            # Evaluation acts at the actor's mean; the critic's value and the
-            # training payload would go unread.
-            dist = actor_distribution(self.net, state)
             return Decision(index=idx, duration_s=map_to_range(dist.mean, self.cfg), demands=dv)
-        dist, value = policy_forward(self.net, state)
-        action = sample_action(dist, rng, self.cfg, value_estimate=value)
-        extras = PolicyExtras(
-            features=state.features,
-            raw=action.raw,
-            log_prob=action.log_prob,
-            value=value,
-        )
+        action = sample_action(dist, rng, self.cfg)
+        extras = PolicyExtras(features=state.features, raw=action.raw, log_prob=action.log_prob)
         return Decision(index=idx, duration_s=action.duration_s, demands=dv, extras=extras)
 
 

@@ -9,13 +9,13 @@ MLPs. Two Adam optimizers, one per net.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .media import BITS_PER_MEGABIT
-from .policy import MlpNet, Mlp, PolicyConfig
+from .policy import MlpNet, Mlp
 
 if TYPE_CHECKING:
     from .media import Trace
@@ -92,14 +92,17 @@ def attribute_reward_terms(
 
 @dataclass(frozen=True)
 class Transition:
-    """One policy step: state, raw action, its old log-prob/value, reward."""
+    """One policy step: state, raw action, its old log-prob, reward.
+
+    Rollouts run the actor only, so a transition carries no critic value;
+    `ppo_update` computes the old values of its whole batch at once.
+    """
 
     features: np.ndarray
     raw: float
     reward: float
     done: bool
     log_prob: float
-    value: float
 
 
 @dataclass(frozen=True)
@@ -287,13 +290,15 @@ def ppo_update(
     optimizers: PpoOptimizers,
     batch: Sequence[Transition],
     cfg: TrainConfig,
-    dump_path=None,
 ) -> dict:
     """One PPO update over a batch of transitions; mutates the nets.
 
-    Advantages default to discounted returns minus the critic's stored
-    values, with GAE as a config option. Non-finite losses abort the update
-    and dump the batch for inspection.
+    Before the first epoch, one stacked critic forward over the batch gives
+    the old values: the weights the rollouts saw, since nothing changes
+    them between updates. Row i of that forward equals a forward of state i
+    alone, bit for bit. Advantages default to discounted returns minus those
+    values, with GAE as a config option. A non-finite old value or loss
+    raises FloatingPointError.
     """
     if not batch:
         return {"actor_loss": 0.0, "critic_loss": 0.0, "n": 0}
@@ -302,7 +307,10 @@ def ppo_update(
     rewards = [tr.reward for tr in batch]
     dones = [tr.done for tr in batch]
     old_log_probs = np.array([tr.log_prob for tr in batch], dtype=np.float64)
-    old_values = np.array([tr.value for tr in batch], dtype=np.float64)
+    values, _ = net.critic.forward(features[:, None, :])
+    old_values = values[:, 0, 0]
+    if not np.isfinite(old_values).all():
+        raise FloatingPointError("non-finite critic value in the batch")
 
     returns = discounted_returns(rewards, dones, cfg.discount)
     if cfg.use_gae:
@@ -314,29 +322,14 @@ def ppo_update(
         if std > 1e-12:
             advantages = (advantages - advantages.mean()) / std
 
-    stats: dict = {"n": len(batch)}
-    try:
-        for _ in range(cfg.epochs):
-            a_loss, a_grads, a_stats = actor_loss_and_grads(
-                net.actor, features, raw, old_log_probs, advantages, cfg.clip_eps, cfg.entropy_coef
-            )
-            optimizers.actor.step(a_grads)
-            c_loss, c_grads = critic_loss_and_grads(net.critic, features, returns)
-            optimizers.critic.step(c_grads)
-        stats.update({"actor_loss": a_loss, "critic_loss": c_loss, **a_stats})
-    except FloatingPointError:
-        if dump_path is not None:
-            np.savez(
-                dump_path,
-                features=features,
-                raw=raw,
-                rewards=np.array(rewards),
-                old_log_probs=old_log_probs,
-                old_values=old_values,
-                advantages=advantages,
-            )
-        raise
-    return stats
+    for _ in range(cfg.epochs):
+        a_loss, a_grads, a_stats = actor_loss_and_grads(
+            net.actor, features, raw, old_log_probs, advantages, cfg.clip_eps, cfg.entropy_coef
+        )
+        optimizers.actor.step(a_grads)
+        c_loss, c_grads = critic_loss_and_grads(net.critic, features, returns)
+        optimizers.critic.step(c_grads)
+    return {"n": len(batch), "actor_loss": a_loss, "critic_loss": c_loss, **a_stats}
 
 
 @dataclass
@@ -363,18 +356,10 @@ def transitions_from_actions(actions) -> list[Transition]:
                 reward=rec.reward,
                 done=(i == len(actions) - 1),
                 log_prob=rec.policy.log_prob,
-                value=rec.policy.value,
             )
         )
     if out:
-        out[-1] = Transition(
-            features=out[-1].features,
-            raw=out[-1].raw,
-            reward=out[-1].reward,
-            done=True,
-            log_prob=out[-1].log_prob,
-            value=out[-1].value,
-        )
+        out[-1] = replace(out[-1], done=True)
     return out
 
 
@@ -384,7 +369,6 @@ def train(
     session_factory,
     train_cfg: TrainConfig,
     seed: int,
-    dump_path=None,
 ) -> tuple[MlpNet, list[EpisodeLog]]:
     """Roll out episodes and update the policy in place.
 
@@ -419,10 +403,10 @@ def train(
             )
         )
         if (ep + 1) % train_cfg.batch_episodes == 0 and pending:
-            ppo_update(net, optimizers, pending, train_cfg, dump_path=dump_path)
+            ppo_update(net, optimizers, pending, train_cfg)
             pending = []
     if pending:
-        ppo_update(net, optimizers, pending, train_cfg, dump_path=dump_path)
+        ppo_update(net, optimizers, pending, train_cfg)
     return net, logs
 
 

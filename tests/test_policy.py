@@ -27,6 +27,7 @@ from swipesim.policy import (
     sample_action,
     save_checkpoint,
     softplus,
+    _watch_features,
 )
 from swipesim.watchtime import WeibullParams, weibull_quantile
 
@@ -150,6 +151,82 @@ def test_build_state_matches_reference_bit_for_bit(videos, k, wte, e_low, e_high
         assert got.tobytes() == want.tobytes()
 
 
+def _min_max_build_state(playlist, selected, q_mbps, rtt_ms, cfg):
+    """build_state as it was before its clips became comparisons: every
+    clip through min(max(x, 0.0), 1.0), padding appended after the loop."""
+    feats = []
+    n = min(len(playlist), cfg.k)
+    for i in range(n):
+        v = playlist[i]
+        meta = v.meta
+        d = meta.duration_s
+        if cfg.include_watch_estimates and v.watch_params is not None:
+            high, low = _watch_features(v.watch_params, d, cfg.e_high, cfg.e_low)
+        else:
+            high = low = 0.0
+        feats += (
+            min(max(v.chosen_bitrate / meta.bitrate_ladder[-1], 0.0), 1.0),
+            min(max(v.buffered_s / d, 0.0), 1.0),
+            min(max(d / cfg.duration_cap_s, 0.0), 1.0),
+            min(max(v.play_pos_s / d, 0.0), 1.0),
+            high,
+            low,
+        )
+    feats += [0.0] * (FIELDS_PER_VIDEO * (cfg.k - n))
+    feats += (
+        min(max(q_mbps / cfg.throughput_cap_mbps, 0.0), 1.0),
+        min(max(rtt_ms / cfg.rtt_cap_ms, 0.0), 1.0),
+        min(max(selected / cfg.k, 0.0), 1.0),
+    )
+    return np.array(feats, dtype=np.float64)
+
+
+# Edge operands of a clip: NaN and -0.0 come back as themselves.
+_clip_edge_st = st.one_of(
+    st.floats(-50.0, 5000.0), st.sampled_from([0.0, -0.0, 1e-300, -1e-300, math.nan])
+)
+# Zero location, near-zero scale: quantile features at or near 0.
+_zero_params_st = st.one_of(
+    st.none(),
+    st.builds(WeibullParams, shape=st.floats(0.2, 6.0), scale=st.sampled_from([1e-9, 1e-3]), location=st.just(0.0)),
+    _params_st,
+)
+
+
+@st.composite
+def _edge_video_st(draw):
+    d = draw(st.floats(0.05, 400.0))
+    # Buffers and playheads run to three times the duration.
+    buffered = draw(st.floats(0.0, 3.0 * d))
+    v = VideoState(
+        meta=VideoMeta("v", d, (1.0, 2.0)),
+        buffered_s=buffered,
+        play_pos_s=draw(st.floats(0.0, 3.0 * d)),
+        watch_params=draw(_zero_params_st),
+    )
+    v.chosen_bitrate = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    return v
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    k=st.integers(1, 6),
+    data=st.data(),
+    wte=st.booleans(),
+    q=_clip_edge_st,
+    rtt=_clip_edge_st,
+    selected=st.integers(-1, 7),
+)
+def test_build_state_matches_min_max_formula(k, data, wte, q, rtt, selected):
+    cfg = PolicyConfig(k=k, include_watch_estimates=wte)
+    # Mostly shorter than k, sometimes longer.
+    videos = data.draw(st.lists(_edge_video_st(), max_size=k + 1))
+    want = _min_max_build_state(videos, selected, q, rtt, cfg)
+    got = build_state(videos, selected, q, rtt, cfg).features
+    assert got.dtype == np.float64 and got.shape == (cfg.state_dim,)
+    assert got.tobytes() == want.tobytes()
+
+
 @given(
     seed=st.integers(0, 5000),
     q=st.floats(0.0, 500.0),
@@ -202,6 +279,102 @@ def test_mlp_backward_matches_finite_differences():
         return loss, flat
 
     assert max_rel_grad_error(mlp, loss_fn) <= 1e-6
+
+
+def _out_of_place_forward(mlp, x):
+    """Mlp.forward as it was before it worked in place."""
+    h = np.asarray(x, dtype=np.float64)
+    if h.ndim == 1:
+        h = h[None, :]
+    cache = [h]
+    for i in range(mlp.n_layers):
+        z = h @ mlp.weights[i] + mlp.biases[i]
+        if i < mlp.n_layers - 1:
+            h = np.maximum(z, 0.0)
+        else:
+            h = z
+        cache.append(h)
+    return h, cache
+
+
+def _out_of_place_backward(mlp, cache, dout):
+    """Mlp.backward as it was before it worked in place."""
+    grads = [None] * mlp.n_layers
+    delta = np.asarray(dout, dtype=np.float64)
+    for i in range(mlp.n_layers - 1, -1, -1):
+        h_in = cache[i]
+        if i < mlp.n_layers - 1:
+            delta = delta * (cache[i + 1] > 0.0)
+        dw = h_in.T @ delta
+        db = delta.sum(axis=0)
+        grads[i] = (dw, db)
+        if i > 0:
+            delta = delta @ mlp.weights[i].T
+    return grads
+
+
+@pytest.mark.parametrize("rows", [1, 2050])
+@pytest.mark.parametrize("net_name", ["actor", "critic"])
+def test_in_place_forward_backward_match_out_of_place(rows, net_name):
+    mlp = getattr(MlpNet.create(PolicyConfig(), seed=11), net_name)
+    rng = np.random.default_rng(rows)
+    x = rng.random((rows, mlp.sizes[0]))
+    # Zeroed inputs and a negative bias put exact zeros behind some ReLUs.
+    x[::7] = 0.0
+    mlp.biases[0][:8] = -0.25
+    dout = rng.normal(size=(rows, mlp.sizes[-1]))
+    x_before, dout_before = x.copy(), dout.copy()
+
+    out, cache = mlp.forward(x)
+    want_out, want_cache = _out_of_place_forward(mlp, x)
+    assert out.tobytes() == want_out.tobytes()
+    assert len(cache) == len(want_cache)
+    for got, want in zip(cache, want_cache):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    grads = mlp.backward(cache, dout)
+    want_grads = _out_of_place_backward(mlp, want_cache, dout)
+    for (dw, db), (want_dw, want_db) in zip(grads, want_grads):
+        assert dw.tobytes() == want_dw.tobytes()
+        assert db.tobytes() == want_db.tobytes()
+    # Neither pass writes into its caller's arrays.
+    assert x.tobytes() == x_before.tobytes() and dout.tobytes() == dout_before.tobytes()
+
+
+def _assert_stacked_rows_match_single(mlp, x):
+    stacked, _ = mlp.forward(x[:, None, :])
+    assert stacked.shape == (len(x), 1, mlp.sizes[-1])
+    for i, row in enumerate(x):
+        single, _ = mlp.forward(row)
+        got = [float(v).hex() for v in stacked[i, 0]]
+        want = [float(v).hex() for v in single[0]]
+        assert got == want, f"row {i} of a batch of {len(x)}"
+
+
+@pytest.mark.parametrize("net_name", ["actor", "critic"])
+def test_stacked_forward_rows_match_single_row_forward(net_name):
+    """`ppo_update` takes its old values from one stacked critic forward;
+    the rollouts' decisions used single-row forwards. Their bytes must agree
+    (here against fresh weights, batches of 1-64 and of 2,050 rows)."""
+    net = MlpNet.create(PolicyConfig(), seed=3)
+    mlp = getattr(net, net_name)
+    rng = np.random.default_rng(64)
+    for n in [*range(1, 65), 2050]:
+        _assert_stacked_rows_match_single(mlp, rng.random((n, mlp.sizes[0])))
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=33, max_size=33), min_size=1, max_size=12
+    ),
+    seed=st.integers(0, 2**16),
+)
+def test_stacked_forward_rows_match_single_row_on_any_states(rows, seed):
+    net = MlpNet.create(PolicyConfig(), seed=seed)
+    x = np.array(rows, dtype=np.float64)
+    _assert_stacked_rows_match_single(net.actor, x)
+    _assert_stacked_rows_match_single(net.critic, x)
 
 
 def test_zeroed_actor_gives_known_distribution():
@@ -274,12 +447,11 @@ def test_gaussian_log_prob_matches_scipy():
 def test_sample_action_reproducible_and_consistent():
     cfg = PolicyConfig()
     dist = ActionDistribution(mean=0.1, stddev=0.5)
-    a1 = sample_action(dist, np.random.default_rng(5), cfg, value_estimate=2.0)
-    a2 = sample_action(dist, np.random.default_rng(5), cfg, value_estimate=2.0)
+    a1 = sample_action(dist, np.random.default_rng(5), cfg)
+    a2 = sample_action(dist, np.random.default_rng(5), cfg)
     assert a1 == a2
     assert a1.duration_s == map_to_range(a1.raw, cfg)
     assert a1.log_prob == gaussian_log_prob(a1.raw, 0.1, 0.5)
-    assert a1.value_estimate == 2.0
 
 
 def test_distribution_rejects_bad_stddev():
@@ -419,12 +591,43 @@ def test_nan_actor_weight_raises(deterministic):
         strat.decide(_mid_session_playlist(), 3.0, 70.0, 10.0, np.random.default_rng(0))
 
 
-def test_nan_critic_weight_raises_in_training():
+def test_nan_critic_weight_raises_in_update_and_training(monkeypatch):
+    """Rollouts never run the critic, so a NaN critic weight surfaces as a
+    non-finite old value when the update evaluates its batch."""
+    from conftest import flat_trace
+    from swipesim import harness
+    from swipesim.ppo import PpoOptimizers, TrainConfig, Transition, ppo_update
+    from swipesim.sim import RetentionSource, SimConfig
+
     net = MlpNet.create(PolicyConfig(), seed=7)
     net.critic.weights[-1][:] = np.nan
-    strat = LearnedRangeStrategy("deload", net)
-    with pytest.raises(FloatingPointError):
-        strat.decide(_mid_session_playlist(), 3.0, 70.0, 10.0, np.random.default_rng(0))
+    dec = LearnedRangeStrategy("deload", net).decide(
+        _mid_session_playlist(), 3.0, 70.0, 10.0, np.random.default_rng(0)
+    )
+    tr = Transition(dec.extras.features, dec.extras.raw, 1.0, True, dec.extras.log_prob)
+    tc = TrainConfig(lr=1e-3)
+    before = [p.copy() for p in net.actor.parameters()]
+    with pytest.raises(FloatingPointError, match="critic value"):
+        ppo_update(net, PpoOptimizers.create(net, tc), [tr], tc)
+    assert all(np.array_equal(a, b) for a, b in zip(before, net.actor.parameters()))
+
+    create = MlpNet.create
+
+    def nan_critic(cfg, seed):
+        out = create(cfg, seed)
+        out.critic.weights[-1][:] = np.nan
+        return out
+
+    monkeypatch.setattr(MlpNet, "create", staticmethod(nan_critic))
+    catalog = [VideoMeta(f"m{i}", 8.0 + 3.0 * i, (0.5, 1.5)) for i in range(4)]
+    retention = RetentionSource(default=WeibullParams(1.2, 3.0, 0.3))
+    with pytest.raises(FloatingPointError, match="critic value"):
+        harness.train_policy(
+            [flat_trace(1.2)], catalog, retention, None,
+            PolicyConfig(k=3, hidden_sizes=(8,), include_watch_estimates=False),
+            TrainConfig(lr=1e-3, episodes=2, batch_episodes=1),
+            SimConfig(videos_per_session=4, max_session_s=60.0), seed=0,
+        )
 
 
 def test_learned_strategy_no_wte_uses_uniform_survival():

@@ -1,17 +1,24 @@
 import copy
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
 
 from conftest import max_rel_grad_error
+from swipesim.demand import compute_demands, select_video
 from swipesim.media import VideoMeta, VideoState
 from swipesim.policy import (
+    Decision,
+    LearnedRangeStrategy,
     MlpNet,
     PolicyConfig,
+    PolicyExtras,
     PolicyState,
+    build_state,
     gaussian_log_prob,
     policy_forward,
+    sample_action,
 )
 from swipesim.ppo import (
     Adam,
@@ -210,14 +217,13 @@ def test_critic_gradients_match_central_differences():
 
 
 def _transition(net, features, raw, reward, done=True):
-    dist, value = policy_forward(net, PolicyState(features))
+    dist, _ = policy_forward(net, PolicyState(features))
     return Transition(
         features=features,
         raw=raw,
         reward=reward,
         done=done,
         log_prob=gaussian_log_prob(raw, dist.mean, dist.stddev),
-        value=value,
     )
 
 
@@ -273,7 +279,6 @@ def test_transitions_from_actions_marks_last_done():
             self.features = np.zeros(3)
             self.raw = float(i)
             self.log_prob = -1.0
-            self.value = 0.0
 
     recs = [Rec(Extras(0), 1.0), Rec(None, 5.0), Rec(Extras(2), 2.0)]
     out = transitions_from_actions(recs)
@@ -348,3 +353,114 @@ def test_write_learning_curve(tmp_path):
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "0"
     assert float(lines[2].split(",")[1]) == 2.5
+
+
+# --- old values from one stacked critic forward --------------------------------
+
+
+@dataclass
+class _ValuedExtras(PolicyExtras):
+    value: float
+
+
+class _RolloutCriticStrategy(LearnedRangeStrategy):
+    """The training decision as it was when every rollout step also ran
+    the critic and carried its value to the update."""
+
+    def decide(self, playlist, q_mbps, rtt_ms, b_max_s, rng):
+        dv = compute_demands(playlist, self.survival)
+        idx = select_video(playlist, dv, b_max_s, min_headroom_s=self.cfg.range_min_s)
+        if idx is None:
+            return None
+        state = build_state(playlist, idx, q_mbps, rtt_ms, self.cfg)
+        dist, value = policy_forward(self.net, state)
+        action = sample_action(dist, rng, self.cfg)
+        extras = _ValuedExtras(state.features, action.raw, action.log_prob, value)
+        return Decision(index=idx, duration_s=action.duration_s, demands=dv, extras=extras)
+
+
+def _reference_update(net, optimizers, batch, values, cfg):
+    """ppo_update as it was when old values came from the rollouts."""
+    features = np.stack([tr.features for tr in batch])
+    raw = np.array([tr.raw for tr in batch], dtype=np.float64)
+    rewards = [tr.reward for tr in batch]
+    dones = [tr.done for tr in batch]
+    old_log_probs = np.array([tr.log_prob for tr in batch], dtype=np.float64)
+    old_values = np.array(values, dtype=np.float64)
+    returns = discounted_returns(rewards, dones, cfg.discount)
+    if cfg.use_gae:
+        advantages = gae_advantages(rewards, old_values, dones, cfg.discount, cfg.gae_lambda)
+    else:
+        advantages = returns - old_values
+    if cfg.normalize_advantages and len(batch) > 1:
+        std = float(advantages.std())
+        if std > 1e-12:
+            advantages = (advantages - advantages.mean()) / std
+    for _ in range(cfg.epochs):
+        _, a_grads, _ = actor_loss_and_grads(
+            net.actor, features, raw, old_log_probs, advantages, cfg.clip_eps, cfg.entropy_coef
+        )
+        optimizers.actor.step(a_grads)
+        _, c_grads = critic_loss_and_grads(net.critic, features, returns)
+        optimizers.critic.step(c_grads)
+
+
+def _reference_train(net, traces, session_factory, train_cfg, seed):
+    """ppo.train with the rollout-time critic values fed to the update."""
+    optimizers = PpoOptimizers.create(net, train_cfg)
+    strategy = _RolloutCriticStrategy("deload-train", net)
+    picker = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x7261)))
+    logs, pending, values = [], [], []
+    for ep in range(train_cfg.episodes):
+        trace = traces[int(picker.integers(len(traces)))]
+        metrics = session_factory(strategy, trace, (seed, ep))
+        pending.extend(transitions_from_actions(metrics.actions))
+        values.extend(a.policy.value for a in metrics.actions if a.policy is not None)
+        ranges = [a.duration_s for a in metrics.actions]
+        logs.append(
+            EpisodeLog(
+                episode=ep,
+                mean_reward=metrics.qoe,
+                mean_rebuffer_s=metrics.total_rebuffer_s,
+                waste_ratio=metrics.waste_ratio,
+                mean_range_s=float(np.mean(ranges)) if ranges else 0.0,
+            )
+        )
+        if (ep + 1) % train_cfg.batch_episodes == 0 and pending:
+            assert len(values) == len(pending)
+            _reference_update(net, optimizers, pending, values, train_cfg)
+            pending, values = [], []
+    if pending:
+        _reference_update(net, optimizers, pending, values, train_cfg)
+    return net, logs
+
+
+@pytest.mark.parametrize("use_gae", [False, True])
+def test_train_policy_matches_rollout_critic_reference(monkeypatch, use_gae):
+    """16 episodes in two updates give the same net, byte for byte, and the
+    same learning curve as rollouts that evaluated the critic themselves."""
+    from conftest import flat_trace
+    from swipesim import harness
+
+    traces = [flat_trace(0.8, "t0"), flat_trace(2.5, "t1"), flat_trace(6.0, "t2")]
+    catalog = [VideoMeta(f"m{i}", 6.0 + 4.0 * i, (0.5, 1.5, 3.0)) for i in range(6)]
+    retention = RetentionSource(default=WeibullParams(1.2, 6.0, 0.3))
+    args = (
+        traces, catalog, retention, None,
+        PolicyConfig(include_watch_estimates=False),
+        TrainConfig(lr=1e-3, episodes=16, batch_episodes=8, use_gae=use_gae),
+        SimConfig(videos_per_session=6, max_session_s=90.0),
+        5,
+    )
+    net, logs = harness.train_policy(*args)
+    with monkeypatch.context() as m:
+        m.setattr(harness, "train", _reference_train)
+        ref_net, ref_logs = harness.train_policy(*args)
+
+    assert len(logs) == 16
+    assert logs == ref_logs
+    fresh = MlpNet.create(args[4], 5)
+    assert not np.array_equal(net.critic.weights[0], fresh.critic.weights[0])
+    for got, want in zip(net.actor.parameters() + net.critic.parameters(),
+                         ref_net.actor.parameters() + ref_net.critic.parameters()):
+        assert got.tobytes() == want.tobytes()
