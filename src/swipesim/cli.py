@@ -24,6 +24,7 @@ from .harness import (
     DataError,
     ingest_traces,
     load_catalog,
+    load_param_table,
     load_retention,
     load_watch_records,
     run_experiment,
@@ -32,10 +33,10 @@ from .harness import (
     emit_plots_data,
     range_medians_by_trace_tercile,
 )
-from .policy import save_checkpoint
+from .policy import LEARNED_STRATEGIES, includes_watch_estimates, save_checkpoint
 from .ppo import write_learning_curve
 from .synthetic import SyntheticSpec, write_suite
-from .watchtime import ParamTable, build_param_table
+from .watchtime import build_param_table
 
 
 class UsageError(Exception):
@@ -66,7 +67,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train the range policy")
     p.add_argument("--config", required=True)
-    p.add_argument("--variant", choices=("deload", "deload_no_wte"), default="deload")
+    p.add_argument("--variant", choices=LEARNED_STRATEGIES, default="deload")
     p.add_argument("--seed", type=int, default=None, help="override config seed")
     p.add_argument("--out", default=None, help="checkpoint path (default: from paths section)")
     p.set_defaults(func=cmd_train)
@@ -155,7 +156,7 @@ def cmd_fit(args) -> int:
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     seed = cfg.seed if args.seed is None else args.seed
-    with_wte = args.variant == "deload"
+    with_wte = includes_watch_estimates(args.variant)
     out = args.out or (cfg.paths.checkpoint if with_wte else cfg.paths.no_wte_checkpoint)
     if not out:
         raise ConfigError(f"train needs --out or a configured checkpoint path for {args.variant}")
@@ -163,7 +164,7 @@ def cmd_train(args) -> int:
     traces = ingest_traces(cfg.paths.traces_glob)
     catalog = load_catalog(cfg.paths.videos)
     retention = load_retention(cfg.paths.retention)
-    table = ParamTable.load(cfg.paths.param_table) if cfg.paths.param_table else None
+    table = load_param_table(cfg.paths.param_table) if cfg.paths.param_table else None
     if with_wte and table is None:
         raise ConfigError("variant 'deload' needs paths.param_table (run fit first)")
     policy_cfg = dataclasses.replace(cfg.policy, include_watch_estimates=with_wte)
@@ -207,7 +208,7 @@ def cmd_report(args) -> int:
     report = load_report(args.run)
     print(json.dumps(report.summary(), indent=2, sort_keys=True))
     for name in report.strategies:
-        if name.startswith("deload") and name not in ("deload_1s", "deload_5s"):
+        if name in LEARNED_STRATEGIES:
             med = range_medians_by_trace_tercile(report, name)
             print(
                 f"{name} median range by trace-throughput tercile: "

@@ -14,7 +14,7 @@ from pathlib import Path
 import yaml
 
 from .harness import ConfigError, ExperimentSpec
-from .policy import STRATEGY_NAMES, PolicyConfig
+from .policy import LEARNED_STRATEGIES, PolicyConfig, baseline_policy
 from .ppo import RewardWeights, TrainConfig
 from .sim import SimConfig
 from .watchtime import FitConfig
@@ -142,12 +142,15 @@ def load_config(path) -> AppConfig:
     if "reward" in sections:
         sim = dataclasses.replace(sim, reward=sections["reward"])
 
-    strategies = doc.get("strategies", list(AppConfig.strategies))
-    if not isinstance(strategies, (list, tuple)) or not strategies:
+    strategies = _coerce(doc.get("strategies", AppConfig.strategies), tuple[str, ...], "strategies")
+    if not strategies:
         raise ConfigError("strategies: expected a non-empty list")
     for s in strategies:
-        if s not in STRATEGY_NAMES:
-            raise ConfigError(f"strategies: unknown strategy {s!r}; expected one of {STRATEGY_NAMES}")
+        if s not in LEARNED_STRATEGIES:  # these need a checkpoint to build
+            try:
+                baseline_policy(s)
+            except ValueError as err:
+                raise ConfigError(f"strategies: {err}")
 
     cfg = AppConfig(
         sim=sim,
@@ -155,7 +158,7 @@ def load_config(path) -> AppConfig:
         train=sections.get("train", TrainConfig()),
         fit=sections.get("fit", FitConfig()),
         paths=sections.get("paths", PathsConfig()),
-        strategies=tuple(strategies),
+        strategies=strategies,
         seed=_coerce(doc.get("seed", 0), int, "seed"),
         jobs=_coerce(doc.get("jobs", 1), int, "jobs"),
     )
@@ -169,16 +172,8 @@ def _resolve_paths(cfg: AppConfig, base: Path) -> AppConfig:
         q = Path(p)
         return str(q if q.is_absolute() else base / q)
 
-    paths = PathsConfig(
-        traces_glob=resolve(cfg.paths.traces_glob),
-        videos=resolve(cfg.paths.videos),
-        retention=resolve(cfg.paths.retention),
-        watch_records=resolve(cfg.paths.watch_records),
-        param_table=resolve(cfg.paths.param_table),
-        checkpoint=resolve(cfg.paths.checkpoint),
-        no_wte_checkpoint=resolve(cfg.paths.no_wte_checkpoint),
-    )
-    return dataclasses.replace(cfg, paths=paths)
+    paths = {f.name: resolve(getattr(cfg.paths, f.name)) for f in dataclasses.fields(PathsConfig)}
+    return dataclasses.replace(cfg, paths=PathsConfig(**paths))
 
 
 def experiment_spec(cfg: AppConfig, seed: int | None = None, jobs: int | None = None) -> ExperimentSpec:

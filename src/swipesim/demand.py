@@ -13,7 +13,7 @@ video with the highest demand.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from .media import EPS_S, VideoState
@@ -40,18 +40,14 @@ def uniform_survival(video: VideoState, x: float) -> float:
 
 @dataclass
 class DemandVector:
-    """Per-video demands plus the selection outcome.
+    """Per-video demands of one playlist.
 
-    `sleep` is true exactly when no video was selected. `playing_degenerate`
-    marks a conditional with zero denominator for the playing video, which
-    zeroes its demand and makes it ineligible.
+    `playing_degenerate` marks a conditional with zero denominator for the
+    playing video, which zeroes its demand and makes it ineligible.
     """
 
     demands: tuple[float, ...]
     playing_degenerate: bool = False
-    selected: int | None = None
-    sleep: bool = True
-    eligible: tuple[int, ...] = field(default_factory=tuple)
 
 
 def demand_playing(video: VideoState, survival: SurvivalFn = fitted_survival) -> tuple[float, bool]:
@@ -99,15 +95,13 @@ def select_video(
 
     A video is eligible when its buffer-ahead is below `b_max_s` and it is
     not fully buffered; a degenerate playing video is skipped. Ties resolve
-    to the lowest index. Returns None (and marks the vector asleep) when
-    nothing is eligible.
+    to the lowest index. Returns None when nothing is eligible.
 
     `min_headroom_s` tightens the cap check so a selection always leaves
     room for a task of at least that length; without it, a video hovering
     at the cap soaks up round-trips on near-empty top-ups.
     """
     best: int | None = None
-    eligible: list[int] = []
     for i, video in enumerate(playlist):
         if i == 0 and dv.playing_degenerate:
             continue
@@ -115,10 +109,6 @@ def select_video(
             continue
         if video.remaining_download_s <= EPS_S:
             continue
-        eligible.append(i)
         if best is None or dv.demands[i] > dv.demands[best]:
             best = i
-    dv.eligible = tuple(eligible)
-    dv.selected = best
-    dv.sleep = best is None
     return best

@@ -9,8 +9,10 @@ equal runs produce byte-identical files.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
+import functools
 import glob as globmod
 import itertools
 import json
@@ -22,8 +24,17 @@ from pathlib import Path
 
 import numpy as np
 
+from .demand import fitted_survival
 from .media import NetworkSample, Trace, VideoMeta, VideoState, WatchRecord
-from .policy import MlpNet, PolicyConfig, Strategy, baseline_policy, load_checkpoint
+from .policy import (
+    LEARNED_STRATEGIES,
+    MlpNet,
+    PolicyConfig,
+    Strategy,
+    baseline_policy,
+    includes_watch_estimates,
+    load_checkpoint,
+)
 from .ppo import EpisodeLog, TrainConfig, train
 from .sim import RetentionSource, SimConfig, SessionMetrics, run_session
 from .watchtime import LadderMissingError, ParamTable, WeibullParams
@@ -37,11 +48,26 @@ class ConfigError(Exception):
     """Invalid configuration or unusable spec (exit code 1)."""
 
 
+CATALOG_HEADER = "video_id,duration_s,ladder_mbps"
 RETENTION_RECORD_HEADER = "user_id,video_id,duration_s,watch_time_s"
 RETENTION_PARAMS_HEADER = "video_id,beta,eta,gamma"
 
-# Strategies whose demand computation needs fitted watch-time parameters.
-PARAM_STRATEGIES = frozenset({"deload", "deload_1s", "deload_5s"})
+
+def _unreadable(path, err: OSError | UnicodeDecodeError) -> DataError:
+    if isinstance(err, UnicodeDecodeError):
+        return DataError(f"cannot read {path}: not UTF-8 text ({err.reason})")
+    return DataError(f"cannot read {path}: {err.strerror or err}")
+
+
+@contextlib.contextmanager
+def _open_data(path):
+    """Read an input file; a missing, unreadable or non-UTF-8 one is a
+    DataError naming it."""
+    try:
+        with open(path) as fh:
+            yield fh
+    except (OSError, UnicodeDecodeError) as err:
+        raise _unreadable(path, err)
 
 
 def ingest_traces(pattern: str) -> list[Trace]:
@@ -56,7 +82,7 @@ def ingest_traces(pattern: str) -> list[Trace]:
     traces = []
     for path in paths:
         samples = []
-        with open(path) as fh:
+        with _open_data(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 raw = raw.strip()
                 if not raw:
@@ -78,65 +104,56 @@ def ingest_traces(pattern: str) -> list[Trace]:
     return traces
 
 
-def load_catalog(path) -> list[VideoMeta]:
-    """Read videos.csv: header then video_id,duration_s,ladder_mbps rows
-    with ';'-separated ladder rungs."""
-    catalog = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "video_id,duration_s,ladder_mbps":
-            raise DataError(f"{path}: bad catalog header {header!r}")
+def _read_rows(path, header: str, parse, empty: str) -> list:
+    """`parse(*fields)` of every row of a CSV input under `header`.
+
+    A missing file, another header, a wrong field count, a value `parse`
+    rejects (ValueError) or no rows at all is a DataError naming the file,
+    and the line where there is one.
+    """
+    n_fields = header.count(",") + 1
+    rows = []
+    with _open_data(path) as fh:
+        found = fh.readline().strip()
+        if found != header:
+            raise DataError(f"{path}: bad header {found!r}; expected {header!r}")
         for lineno, raw in enumerate(fh, start=2):
             raw = raw.strip()
             if not raw:
                 continue
             parts = raw.split(",")
-            if len(parts) != 3:
-                raise DataError(f"{path}:{lineno}: expected 3 fields")
+            if len(parts) != n_fields:
+                raise DataError(f"{path}:{lineno}: expected {n_fields} fields, got {len(parts)}")
             try:
-                meta = VideoMeta(
-                    video_id=parts[0],
-                    duration_s=float(parts[1]),
-                    bitrate_ladder=tuple(float(b) for b in parts[2].split(";")),
-                )
+                rows.append(parse(*parts))
             except ValueError as err:
                 raise DataError(f"{path}:{lineno}: {err}")
-            catalog.append(meta)
-    if not catalog:
-        raise DataError(f"{path}: empty catalog")
-    return catalog
+    if not rows:
+        raise DataError(f"{path}: {empty}")
+    return rows
+
+
+def load_catalog(path) -> list[VideoMeta]:
+    """Read videos.csv: video_id,duration_s,ladder_mbps rows with
+    ';'-separated ladder rungs."""
+    return _read_rows(
+        path,
+        CATALOG_HEADER,
+        lambda vid, d, ladder: VideoMeta(vid, float(d), tuple(float(b) for b in ladder.split(";"))),
+        "empty catalog",
+    )
 
 
 def load_watch_records(path) -> list[WatchRecord]:
-    records = []
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != RETENTION_RECORD_HEADER:
-            raise DataError(f"{path}: bad watch-record header {header!r}")
-        for lineno, raw in enumerate(fh, start=2):
-            raw = raw.strip()
-            if not raw:
-                continue
-            parts = raw.split(",")
-            if len(parts) != 4:
-                raise DataError(f"{path}:{lineno}: expected 4 fields")
-            try:
-                records.append(
-                    WatchRecord(
-                        user_id=parts[0],
-                        video_id=parts[1],
-                        duration_s=float(parts[2]),
-                        watch_time_s=float(parts[3]),
-                    )
-                )
-            except ValueError as err:
-                raise DataError(f"{path}:{lineno}: {err}")
-    if not records:
-        raise DataError(f"{path}: no watch records")
-    return records
+    return _read_rows(
+        path,
+        RETENTION_RECORD_HEADER,
+        lambda user, vid, d, w: WatchRecord(user, vid, float(d), float(w)),
+        "no watch records",
+    )
 
 
-def load_retention(path, default: WeibullParams | None = None) -> RetentionSource:
+def load_retention(path) -> RetentionSource:
     """Build a retention source from either record shape.
 
     The header line discriminates: watch records
@@ -144,38 +161,35 @@ def load_retention(path, default: WeibullParams | None = None) -> RetentionSourc
     video; parameter rows (video_id,beta,eta,gamma) become per-video
     distributions.
     """
-    with open(path) as fh:
+    with _open_data(path) as fh:
         header = fh.readline().strip()
     if header == RETENTION_RECORD_HEADER:
-        records = load_watch_records(path)
         pools: dict[str, list[float]] = {}
-        for rec in records:
+        for rec in load_watch_records(path):
             pools.setdefault(rec.video_id, []).append(rec.watch_time_s)
-        return RetentionSource(empirical=pools, default=default)
+        return RetentionSource(empirical=pools)
     if header == RETENTION_PARAMS_HEADER:
-        params: dict[str, WeibullParams] = {}
-        with open(path) as fh:
-            fh.readline()
-            for lineno, raw in enumerate(fh, start=2):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                parts = raw.split(",")
-                if len(parts) != 4:
-                    raise DataError(f"{path}:{lineno}: expected 4 fields")
-                try:
-                    params[parts[0]] = WeibullParams(
-                        shape=float(parts[1]), scale=float(parts[2]), location=float(parts[3])
-                    )
-                except ValueError as err:
-                    raise DataError(f"{path}:{lineno}: {err}")
-        if not params:
-            raise DataError(f"{path}: no retention parameters")
-        return RetentionSource(params=params, default=default)
+        params = _read_rows(
+            path,
+            header,
+            lambda vid, b, e, g: (vid, WeibullParams(float(b), float(e), float(g))),
+            "no retention parameters",
+        )
+        return RetentionSource(params=dict(params))
     raise DataError(
         f"{path}: unrecognized retention header {header!r}; expected "
         f"{RETENTION_RECORD_HEADER!r} or {RETENTION_PARAMS_HEADER!r}"
     )
+
+
+def load_param_table(path) -> ParamTable:
+    """`ParamTable.load`, with a missing or malformed file as a DataError."""
+    try:
+        return ParamTable.load(path)
+    except (OSError, UnicodeDecodeError) as err:
+        raise _unreadable(path, err)
+    except ValueError as err:  # names the file and line
+        raise DataError(str(err))
 
 
 @dataclass(frozen=True)
@@ -325,73 +339,62 @@ def make_playlist_source(
 def simulate_one(
     strategy: Strategy,
     trace: Trace,
-    trace_index: int,
+    key: tuple[int, int],
     catalog: list[VideoMeta],
     table: ParamTable | None,
     retention: RetentionSource,
     sim_cfg: SimConfig,
-    seed: int,
 ) -> SessionMetrics:
-    """Run one session with randomness keyed by (seed, trace) only."""
-    user_id = f"viewer-{trace_index}"
-    playlist_rng = np.random.default_rng(np.random.SeedSequence(entropy=(seed, trace_index, 11)))
+    """Run one session with its randomness keyed by `key` only.
+
+    `key` is (seed, trace index) in evaluation and (seed, episode) in
+    training.
+    """
+    user_id = f"viewer-{key[-1]}"
+    playlist_rng = np.random.default_rng(np.random.SeedSequence(entropy=(*key, 11)))
     source = make_playlist_source(catalog, table, sim_cfg.videos_per_session, playlist_rng, user_id)
-    return run_session(
-        trace,
-        source,
-        retention,
-        strategy,
-        sim_cfg,
-        seed=(seed, trace_index, 13),
-        user_id=user_id,
-    )
+    return run_session(trace, source, retention, strategy, sim_cfg, seed=(*key, 13), user_id=user_id)
 
 
 def _worker(args) -> RunRecord:
-    strategy, trace, trace_index, catalog, table, retention, sim_cfg, seed = args
-    metrics = simulate_one(strategy, trace, trace_index, catalog, table, retention, sim_cfg, seed)
-    return session_record(strategy, metrics, trace)
+    strategy, trace = args[:2]
+    return session_record(strategy, simulate_one(*args), trace)
 
 
 def build_strategies(spec: ExperimentSpec) -> list[Strategy]:
     """Resolve strategy names, loading checkpoints where needed.
 
     Fails fast (ConfigError) before any simulation when a learned strategy
-    lacks its checkpoint or a demand strategy lacks the parameter table.
+    lacks its checkpoint or a strategy on fitted survival lacks the
+    parameter table.
     """
     strategies: list[Strategy] = []
     for name in spec.strategies:
-        if name == "deload":
-            if not spec.checkpoint_path:
-                raise ConfigError("strategy 'deload' needs checkpoint_path")
-            net = _load_net(spec.checkpoint_path, want_wte=True)
+        net = None
+        if name in LEARNED_STRATEGIES:
+            key = "checkpoint_path" if includes_watch_estimates(name) else "no_wte_checkpoint_path"
+            if not getattr(spec, key):
+                raise ConfigError(f"strategy {name!r} needs {key}")
+            net = _load_net(getattr(spec, key))
+        try:
             strategies.append(baseline_policy(name, net))
-        elif name == "deload_no_wte":
-            if not spec.no_wte_checkpoint_path:
-                raise ConfigError("strategy 'deload_no_wte' needs no_wte_checkpoint_path")
-            net = _load_net(spec.no_wte_checkpoint_path, want_wte=False)
-            strategies.append(baseline_policy(name, net))
-        else:
-            try:
-                strategies.append(baseline_policy(name))
-            except ValueError as err:
-                raise ConfigError(str(err))
-    if PARAM_STRATEGIES & set(spec.strategies) and not spec.param_table_path:
-        raise ConfigError(
-            f"strategies {sorted(PARAM_STRATEGIES & set(spec.strategies))} need param_table_path"
-        )
+        except ValueError as err:
+            raise ConfigError(str(err))
+    fitted = [s.name for s in strategies if s.survival is fitted_survival]
+    if fitted and not spec.param_table_path:
+        raise ConfigError(f"strategies {fitted} need param_table_path")
     return strategies
 
 
-def _load_net(path, want_wte: bool) -> MlpNet:
+def _load_net(path) -> MlpNet:
     try:
-        net = load_checkpoint(path)
+        return load_checkpoint(path)
     except OSError as err:
         raise ConfigError(f"cannot read checkpoint {path}: {err}")
-    if net.cfg.include_watch_estimates != want_wte:
-        kind = "with" if want_wte else "without"
-        raise ConfigError(f"checkpoint {path} was not trained {kind} watch-time estimation")
-    return net
+    except UnicodeDecodeError as err:
+        raise _unreadable(path, err)
+    except ValueError as err:  # names the file and line
+        raise DataError(str(err))
 
 
 def train_policy(
@@ -406,21 +409,14 @@ def train_policy(
 ) -> tuple[MlpNet, list[EpisodeLog]]:
     """Train a fresh range policy on the given traces.
 
-    Episode randomness (playlist, viewer, channel) is keyed by (seed,
-    episode) so repeated runs reproduce the same learning curve exactly.
+    Each episode is a `simulate_one` session keyed by (seed, episode), so
+    repeated runs reproduce the same learning curve exactly.
     """
     net = MlpNet.create(policy_cfg, seed)
-
-    def session_factory(strategy: Strategy, trace: Trace, ep_seed) -> SessionMetrics:
-        entropy = ep_seed if isinstance(ep_seed, tuple) else (ep_seed,)
-        user = f"trainee-{entropy[-1]}"
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=(*entropy, 11)))
-        source = make_playlist_source(catalog, table, sim_cfg.videos_per_session, rng, user)
-        return run_session(
-            trace, source, retention, strategy, sim_cfg, seed=(*entropy, 13), user_id=user
-        )
-
-    return train(net, traces, session_factory, train_cfg, seed)
+    session = functools.partial(
+        simulate_one, catalog=catalog, table=table, retention=retention, sim_cfg=sim_cfg
+    )
+    return train(net, traces, session, train_cfg, seed)
 
 
 def _release_free_heap() -> None:
@@ -441,14 +437,12 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> Report:
     """Evaluate every strategy on every trace and write the report files."""
     traces = ingest_traces(spec.traces_glob)
     catalog = load_catalog(spec.videos_path)
-    if len(catalog) < 1:
-        raise DataError("catalog is empty")
     retention = load_retention(spec.retention_path)
-    table = ParamTable.load(spec.param_table_path) if spec.param_table_path else None
+    table = load_param_table(spec.param_table_path) if spec.param_table_path else None
     strategies = build_strategies(spec)
 
     tasks = [
-        (strategy, trace, ti, catalog, table, retention, spec.sim, spec.seed)
+        (strategy, trace, (spec.seed, ti), catalog, table, retention, spec.sim)
         for strategy in strategies
         for ti, trace in enumerate(traces)
     ]

@@ -237,9 +237,7 @@ class SwipeResult:
 
     wasted_bits: float
     watched_bits: float
-    departed: VideoState
     added: tuple[VideoState, ...]
-    ended: bool
 
 
 def advance_playback(video: VideoState, dt_s: float) -> float:
@@ -277,11 +275,4 @@ def swipe(playlist: Playlist, watch_time_s: float) -> SwipeResult:
     watched = v0.watched_prefix_bits(watch_time_s)
     wasted = v0.delivered_bits() - watched
     playlist.videos.pop(0)
-    added = tuple(playlist.refill())
-    return SwipeResult(
-        wasted_bits=wasted,
-        watched_bits=watched,
-        departed=v0,
-        added=added,
-        ended=not playlist.videos,
-    )
+    return SwipeResult(wasted_bits=wasted, watched_bits=watched, added=tuple(playlist.refill()))

@@ -9,13 +9,13 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
 from .demand import (
-    DemandVector,
     SurvivalFn,
     compute_demands,
     fitted_survival,
@@ -28,7 +28,11 @@ from .watchtime import WeibullParams, weibull_quantile
 FIELDS_PER_VIDEO = 6
 LOG_2PI = math.log(2.0 * math.pi)
 
-STRATEGY_NAMES = ("deload", "deload_no_wte", "deload_1s", "deload_5s", "naive_1s")
+# Strategies that act through a trained net; see `baseline_policy`.
+LEARNED_STRATEGIES = ("deload", "deload_no_wte")
+# `deload_<seconds>s`: demand selection with a fixed range of a plain
+# positive decimal number of seconds.
+_FIXED_RANGE = re.compile(r"deload_([0-9]+(?:\.[0-9]+)?)s")
 
 
 @dataclass(frozen=True)
@@ -330,48 +334,58 @@ def save_checkpoint(net: MlpNet, path) -> None:
 
 
 def load_checkpoint(path) -> MlpNet:
+    """Read a checkpoint written by `save_checkpoint`.
+
+    A malformed record raises ValueError naming the file and line.
+    """
     with open(path) as fh:
         lines = fh.read().splitlines()
-    if not lines or lines[0] != CHECKPOINT_MAGIC:
-        raise ValueError(f"{path}: not a {CHECKPOINT_MAGIC} checkpoint")
-    cfg_parts = lines[1].split()
-    if cfg_parts[0] != "config" or "hidden" not in cfg_parts:
-        raise ValueError(f"{path}: malformed config line")
-    h_at = cfg_parts.index("hidden")
-    vals = cfg_parts[1:h_at]
-    hidden = tuple(int(x) for x in cfg_parts[h_at + 1 :])
-    cfg = PolicyConfig(
-        k=int(vals[0]),
-        e_high=float(vals[1]),
-        e_low=float(vals[2]),
-        range_min_s=float(vals[3]),
-        range_max_s=float(vals[4]),
-        duration_cap_s=float(vals[5]),
-        throughput_cap_mbps=float(vals[6]),
-        rtt_cap_ms=float(vals[7]),
-        include_watch_estimates=bool(int(vals[8])),
-        hidden_sizes=hidden,
-    )
-    net = MlpNet.create(cfg, seed=0)
-    idx = 2
-    for name in ("actor", "critic"):
-        head = lines[idx].split()
-        if head[:2] != ["net", name]:
-            raise ValueError(f"{path}: expected net {name} section at line {idx + 1}")
-        n_layers = int(head[3])
-        idx += 1
-        mlp: Mlp = getattr(net, name)
-        for li in range(n_layers):
-            shape = lines[idx].split()
-            n_in, n_out = int(shape[2]), int(shape[3])
-            idx += 1
-            rows = []
-            for _ in range(n_in):
-                rows.append([float(v) for v in lines[idx].split()])
+    idx = 0
+    try:
+        if lines[0] != CHECKPOINT_MAGIC:
+            raise ValueError(f"not a {CHECKPOINT_MAGIC} checkpoint")
+        idx = 1
+        cfg_parts = lines[1].split()
+        if cfg_parts[0] != "config" or "hidden" not in cfg_parts:
+            raise ValueError("malformed config line")
+        h_at = cfg_parts.index("hidden")
+        vals = cfg_parts[1:h_at]
+        hidden = tuple(int(x) for x in cfg_parts[h_at + 1 :])
+        cfg = PolicyConfig(
+            k=int(vals[0]),
+            e_high=float(vals[1]),
+            e_low=float(vals[2]),
+            range_min_s=float(vals[3]),
+            range_max_s=float(vals[4]),
+            duration_cap_s=float(vals[5]),
+            throughput_cap_mbps=float(vals[6]),
+            rtt_cap_ms=float(vals[7]),
+            include_watch_estimates=bool(int(vals[8])),
+            hidden_sizes=hidden,
+        )
+        net = MlpNet.create(cfg, seed=0)
+        idx = 2
+        for name in ("actor", "critic"):
+            head = lines[idx].split()
+            mlp: Mlp = getattr(net, name)
+            if head[:2] != ["net", name] or int(head[3]) != mlp.n_layers:
+                raise ValueError(f"expected net {name} with {mlp.n_layers} layers")
+            for li in range(mlp.n_layers):
                 idx += 1
-            mlp.weights[li] = np.array(rows, dtype=np.float64).reshape(n_in, n_out)
-            mlp.biases[li] = np.array([float(v) for v in lines[idx].split()], dtype=np.float64)
+                n_in = int(lines[idx].split()[2])
+                rows = []
+                for _ in range(n_in):
+                    idx += 1
+                    rows.append([float(v) for v in lines[idx].split()])
+                idx += 1
+                w = np.array(rows, dtype=np.float64)
+                b = np.array([float(v) for v in lines[idx].split()], dtype=np.float64)
+                if w.shape != mlp.weights[li].shape or b.shape != mlp.biases[li].shape:
+                    raise ValueError(f"{name} layer {li} does not match the config's sizes")
+                mlp.weights[li], mlp.biases[li] = w, b
             idx += 1
+    except (ValueError, IndexError) as err:
+        raise ValueError(f"{path}:{idx + 1}: malformed checkpoint: {err}") from None
     return net
 
 
@@ -397,7 +411,6 @@ class Decision:
 
     index: int
     duration_s: float
-    demands: DemandVector | None = None
     extras: PolicyExtras | None = None
 
 
@@ -411,9 +424,14 @@ def naive_select(playlist: Sequence[VideoState], threshold_s: float) -> int | No
 
 
 class Strategy:
-    """Download decision maker: selection rule plus range sizing."""
+    """Download decision maker: selection rule plus range sizing.
+
+    `survival` is the watch-time model behind the strategy's demands, None
+    when it computes none; `fitted_survival` needs the parameter table.
+    """
 
     name: str = "strategy"
+    survival: SurvivalFn | None = None
 
     def decide(
         self,
@@ -442,7 +460,7 @@ class FixedRangeStrategy(Strategy):
         idx = select_video(playlist, dv, b_max_s, min_headroom_s=MIN_ISSUE_S)
         if idx is None:
             return None
-        return Decision(index=idx, duration_s=self.duration_s, demands=dv)
+        return Decision(index=idx, duration_s=self.duration_s)
 
 
 class NaiveFixedStrategy(Strategy):
@@ -489,31 +507,41 @@ class LearnedRangeStrategy(Strategy):
         state = build_state(playlist, idx, q_mbps, rtt_ms, self.cfg)
         dist = actor_distribution(self.net, state)
         if self.deterministic:
-            return Decision(index=idx, duration_s=map_to_range(dist.mean, self.cfg), demands=dv)
+            return Decision(index=idx, duration_s=map_to_range(dist.mean, self.cfg))
         action = sample_action(dist, rng, self.cfg)
         extras = PolicyExtras(features=state.features, raw=action.raw, log_prob=action.log_prob)
-        return Decision(index=idx, duration_s=action.duration_s, demands=dv, extras=extras)
+        return Decision(index=idx, duration_s=action.duration_s, extras=extras)
+
+
+def includes_watch_estimates(kind: str) -> bool:
+    """Whether the learned strategy `kind` runs on watch-time estimates."""
+    return kind == "deload"
 
 
 def baseline_policy(kind: str, net: MlpNet | None = None) -> Strategy:
-    """Build a named strategy.
+    """Build a named strategy; raises ValueError on an unknown name.
 
     Kinds: deload (learned policy, needs `net`), deload_no_wte (learned
-    policy trained without watch-time estimation, needs `net` built with
-    include_watch_estimates=False), deload_1s / deload_5s (demand selection,
-    fixed 1 s / 5 s ranges), naive_1s (order-based selection, fixed 1 s).
+    policy trained without watch-time estimation, needs a `net` built with
+    include_watch_estimates=False), deload_<seconds>s (demand selection,
+    fixed ranges of that many seconds, e.g. deload_0.5s or deload_5s) and
+    naive_1s (order-based selection, fixed 1 s).
     """
-    if kind == "deload_1s":
-        return FixedRangeStrategy(kind, 1.0)
-    if kind == "deload_5s":
-        return FixedRangeStrategy(kind, 5.0)
     if kind == "naive_1s":
         return NaiveFixedStrategy(kind, 1.0)
-    if kind in ("deload", "deload_no_wte"):
+    if kind in LEARNED_STRATEGIES:
         if net is None:
             raise ValueError(f"strategy {kind!r} needs a policy checkpoint")
-        if kind == "deload_no_wte" and net.cfg.include_watch_estimates:
-            raise ValueError("deload_no_wte needs a net built with include_watch_estimates=False")
+        wte = includes_watch_estimates(kind)
+        if net.cfg.include_watch_estimates != wte:
+            trained = "with" if wte else "without"
+            raise ValueError(f"strategy {kind!r} needs a net trained {trained} watch-time estimation")
         # Evaluation acts at the policy mean; sampling is for training only.
         return LearnedRangeStrategy(kind, net, deterministic=True)
-    raise ValueError(f"unknown strategy kind {kind!r}; expected one of {STRATEGY_NAMES}")
+    fixed = _FIXED_RANGE.fullmatch(kind)
+    if fixed and float(fixed[1]) > 0.0:
+        return FixedRangeStrategy(kind, float(fixed[1]))
+    raise ValueError(
+        f"unknown strategy kind {kind!r}; expected naive_1s, deload_<seconds>s "
+        f"or one of {LEARNED_STRATEGIES}"
+    )

@@ -15,7 +15,7 @@ from typing import TYPE_CHECKING, Iterable, Sequence
 import numpy as np
 
 from .media import BITS_PER_MEGABIT
-from .policy import MlpNet, Mlp
+from .policy import LearnedRangeStrategy, Mlp, MlpNet
 
 if TYPE_CHECKING:
     from .media import Trace
@@ -366,21 +366,18 @@ def transitions_from_actions(actions) -> list[Transition]:
 def train(
     net: MlpNet,
     traces: "Sequence[Trace]",
-    session_factory,
+    session,
     train_cfg: TrainConfig,
     seed: int,
 ) -> tuple[MlpNet, list[EpisodeLog]]:
     """Roll out episodes and update the policy in place.
 
-    `session_factory(strategy, trace, episode_seed)` must run one session
-    with the given learned strategy and return its SessionMetrics. Traces
-    are sampled uniformly per episode from a seeded stream, so the whole
-    run (and its learning curve) is reproducible bit for bit. Zero episodes
+    `session(strategy, trace, (seed, episode))` must run one session with
+    the given learned strategy and return its SessionMetrics. Traces are
+    sampled uniformly per episode from a seeded stream, so the whole run
+    (and its learning curve) is reproducible bit for bit. Zero episodes
     returns the net untouched.
     """
-    from .policy import LearnedRangeStrategy  # local: avoids module cycle
-    from .sim import SessionMetrics  # noqa: F401  (type only, keeps import local)
-
     if not traces and train_cfg.episodes > 0:
         raise ValueError("cannot train without traces")
     optimizers = PpoOptimizers.create(net, train_cfg)
@@ -390,7 +387,7 @@ def train(
     pending: list[Transition] = []
     for ep in range(train_cfg.episodes):
         trace = traces[int(picker.integers(len(traces)))]
-        metrics = session_factory(strategy, trace, (seed, ep))
+        metrics = session(strategy, trace, (seed, ep))
         pending.extend(transitions_from_actions(metrics.actions))
         ranges = [a.duration_s for a in metrics.actions]
         logs.append(

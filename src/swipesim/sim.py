@@ -83,13 +83,10 @@ class ActionRecord:
 
     issued_at_s: float
     video_index: int
-    requested_s: float
     duration_s: float
     bitrate_mbps: float
     q_mbps: float
-    rtt_ms: float
     delivered_s: float = 0.0
-    closed_at_s: float = math.nan
     waste_bits: float = 0.0
     rebuffer_s: float = 0.0
     reward: float = 0.0
@@ -105,7 +102,6 @@ class SessionMetrics:
     downloaded_bits: float = 0.0
     watched_bits: float = 0.0
     wasted_bits: float = 0.0
-    played_s: float = 0.0
     wall_time_s: float = 0.0
     n_swipes: int = 0
     actions: list[ActionRecord] = field(default_factory=list)
@@ -308,11 +304,9 @@ class _Session:
             ActionRecord(
                 issued_at_s=self.t,
                 video_index=decision.index,
-                requested_s=decision.duration_s,
                 duration_s=duration,
                 bitrate_mbps=bitrate,
                 q_mbps=q,
-                rtt_ms=rtt_est,
                 policy=decision.extras,
             )
         )
@@ -389,7 +383,7 @@ class _Session:
         period = cursor.period
         lo, hi, bw = cursor.lo, cursor.hi, cursor.bw
         m = self.metrics
-        downloaded, played, rebuffer = m.downloaded_bits, m.played_s, m.total_rebuffer_s
+        downloaded, rebuffer = m.downloaded_bits, m.total_rebuffer_s
         t = self.t
         wake = self.sleep_until - 1e-12
         task = cur = None
@@ -452,7 +446,6 @@ class _Session:
                     # so step <= buffered - pos and <= duration - pos, and the
                     # playhead moves by all of it with no rebuffer.
                     cur.play_pos_s = pos + step
-                    played += step
                     remaining -= step
                     continue
                 events.append(StallEvent(start_s=t + dt - remaining, end_s=t + dt))
@@ -472,7 +465,7 @@ class _Session:
         if task is not None:
             seg.delivered_bits = task.delivered_bits = got
             task.rtt_remaining_s = rtt_left
-        m.downloaded_bits, m.played_s, m.total_rebuffer_s = downloaded, played, rebuffer
+        m.downloaded_bits, m.total_rebuffer_s = downloaded, rebuffer
         self._finalize()
         return m
 
@@ -490,8 +483,7 @@ class _Session:
         actions = self.metrics.actions
         issued = [rec.issued_at_s for rec in actions]
         terms = attribute_windows(self.events, issued)
-        for i, (rec, (w_bits, bt_s)) in enumerate(zip(actions, terms)):
-            rec.closed_at_s = issued[i + 1] if i + 1 < len(issued) else self.t
+        for rec, (w_bits, bt_s) in zip(actions, terms):
             rec.waste_bits = w_bits
             rec.rebuffer_s = bt_s
             rec.reward = compute_reward(

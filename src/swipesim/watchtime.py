@@ -351,24 +351,27 @@ class ParamTable:
                 raw = raw.strip()
                 if not raw:
                     continue
-                parts = raw.split(",")
-                if len(parts) != 7:
-                    raise ValueError(f"{path}:{lineno}: expected 7 fields, got {len(parts)}")
-                dim, key, beta, eta, gamma, n_samples, r2 = parts
-                fit = WeibullFit(
-                    WeibullParams(float(beta), float(eta), float(gamma)),
-                    r_squared=float(r2),
-                    n_samples=int(n_samples),
-                )
-                if dim == "video":
-                    table.video[key] = fit
-                elif dim == "user":
-                    table.user[key] = fit
-                elif dim == "ladder":
-                    lo, _, hi = key.partition("-")
-                    table.ladder[(float(lo), float(hi))] = fit
-                else:
-                    raise ValueError(f"{path}:{lineno}: unknown dimension {dim!r}")
+                try:
+                    parts = raw.split(",")
+                    if len(parts) != 7:
+                        raise ValueError(f"expected 7 fields, got {len(parts)}")
+                    dim, key, beta, eta, gamma, n_samples, r2 = parts
+                    fit = WeibullFit(
+                        WeibullParams(float(beta), float(eta), float(gamma)),
+                        r_squared=float(r2),
+                        n_samples=int(n_samples),
+                    )
+                    if dim == "video":
+                        table.video[key] = fit
+                    elif dim == "user":
+                        table.user[key] = fit
+                    elif dim == "ladder":
+                        lo, _, hi = key.partition("-")
+                        table.ladder[(float(lo), float(hi))] = fit
+                    else:
+                        raise ValueError(f"unknown dimension {dim!r}")
+                except ValueError as err:
+                    raise ValueError(f"{path}:{lineno}: {err}") from None
         table.bucket_edges = tuple(sorted({0.0, math.inf, *(e for key in table.ladder for e in key)}))
         return table
 

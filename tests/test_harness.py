@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -9,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from conftest import flat_trace
 from swipesim import harness
@@ -170,6 +172,19 @@ def test_load_config_rejects_unknown_strategy(tmp_path):
         load_config(_write_cfg(tmp_path, "strategies: []\n"))
 
 
+@pytest.mark.parametrize(
+    "name", ["deload_0s", "deload_-1s", "deload_nans", "deload_infs", "deload_1e3s", "deload_1", "deload_s"]
+)
+def test_load_config_rejects_malformed_fixed_ranges(tmp_path, name):
+    with pytest.raises(ConfigError, match=re.escape(repr(name))):
+        load_config(_write_cfg(tmp_path, f"strategies: [{name}]\n"))
+
+
+def test_load_config_accepts_any_positive_fixed_range(tmp_path):
+    cfg = load_config(_write_cfg(tmp_path, "strategies: [deload_0.5s, deload_8s, deload_no_wte]\n"))
+    assert cfg.strategies == ("deload_0.5s", "deload_8s", "deload_no_wte")
+
+
 def test_load_config_resolves_paths_against_config_dir(tmp_path):
     sub = tmp_path / "sub"
     sub.mkdir()
@@ -221,6 +236,14 @@ def test_build_strategies_requires_checkpoints_and_table(tmp_path):
         build_strategies(_spec(tmp_path, strategies=("deload_1s",)))
     with pytest.raises(ConfigError):
         build_strategies(_spec(tmp_path, strategies=("warp",)))
+
+
+@pytest.mark.parametrize("name, seconds", [("deload_0.5s", 0.5), ("deload_1s", 1.0), ("deload_12.25s", 12.25)])
+def test_build_strategies_fixed_ranges_need_the_param_table(tmp_path, name, seconds):
+    with pytest.raises(ConfigError, match="param_table_path"):
+        build_strategies(_spec(tmp_path, strategies=(name,)))
+    (strategy,) = build_strategies(_spec(tmp_path, strategies=(name,), param_table_path="pt.csv"))
+    assert (strategy.name, strategy.duration_s) == (name, seconds)
 
 
 def test_build_strategies_checks_checkpoint_flavor(tmp_path):
@@ -277,8 +300,8 @@ def _record(strategy, trace_id, mean_mbps, qoe, durations, qs=None, rebuffer=0.2
 def test_session_record_maps_metrics():
     trace = flat_trace(2.0)
     actions = [
-        ActionRecord(0.0, 0, 1.0, 1.0, 0.5, 1.0, 80.0, reward=0.4),
-        ActionRecord(1.0, 0, 5.0, 3.0, 0.5, 1.0, 80.0, reward=0.2),
+        ActionRecord(0.0, 0, 1.0, 0.5, 1.0, reward=0.4),
+        ActionRecord(1.0, 0, 3.0, 0.5, 1.0, reward=0.2),
     ]
     m = SessionMetrics(
         trace_id="flat", total_rebuffer_s=0.5, downloaded_bits=4e6,
@@ -530,6 +553,84 @@ def test_cli_error_exit_codes(tmp_path):
     )
     assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 2
     assert cli_main(["fit", "--config", str(cfg)]) == 1  # no watch_records path
+
+
+def _suite_config(pipeline, tmp_path, strategies=None, **paths):
+    """The pipeline suite's config in `tmp_path`, its paths made absolute
+    and any given in `paths` replaced."""
+    root, cfg, _ = pipeline
+    doc = yaml.safe_load(cfg.read_text())
+    doc["paths"] = {k: str(root / v) for k, v in doc["paths"].items()}
+    doc["paths"].update((k, str(v)) for k, v in paths.items())
+    if strategies is not None:
+        doc["strategies"] = strategies
+    out = tmp_path / "suite.yaml"
+    out.write_text(yaml.safe_dump(doc))
+    return out
+
+
+def test_fixed_range_sweep_runs_with_the_suites_config(pipeline, tmp_path):
+    cfg = _suite_config(pipeline, tmp_path, strategies=["deload_0.5s", "deload_8s"])
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    report = load_report(tmp_path / "run")
+    assert report.strategies == ("deload_0.5s", "deload_8s")
+    assert len(report.runs) == 2 * 6
+    for name, seconds in (("deload_0.5s", 0.5), ("deload_8s", 8.0)):
+        durations = np.concatenate([r.action_durations for r in report.runs if r.strategy == name])
+        assert 0.0 < durations.min() and durations.max() == seconds
+    # The suite's `sim.videos_per_session: 4`, not the built-in 15.
+    assert max(r.n_swipes for r in report.runs) == 4
+
+
+def _corrupt_checkpoint(root, tmp_path):
+    lines = (root / "checkpoints/deload.ckpt").read_text().splitlines()
+    lines[4] = "0.5 not-a-weight"  # first weight row of the actor's first layer
+    out = tmp_path / "bad.ckpt"
+    out.write_text("\n".join(lines) + "\n")
+    return out, 5
+
+
+@pytest.mark.parametrize(
+    "command, key, content",
+    [
+        ("simulate", "videos", None),
+        ("simulate", "retention", None),
+        ("simulate", "param_table", None),
+        ("train", "param_table", None),
+        ("fit", "watch_records", None),
+        ("simulate", "param_table", ("video,v0,1.0,2.0,0.0,10,0.9\nvideo,v1,1.0,oops,0.0,10,0.9\n", 2)),
+        ("simulate", "param_table", ("video,v0,1.0,2.0,0.0,10,0.9\nlength,v1,1.0\n", 2)),
+        ("simulate", "param_table", ("video,v0,-1.0,2.0,0.0,10,0.9\n", 1)),
+        ("simulate", "checkpoint", "corrupt"),
+        ("simulate", "checkpoint", ("rangenet-v1\nconfig 5 0.7\n", 2)),
+        ("simulate", "videos", (b"video_id,duration_s,ladder_mbps\n\xff\xfe,1,1\n", None)),
+        ("simulate", "param_table", (b"video,v0,1.0,2.0,0.0,10,0.9\n\xff\n", None)),
+        ("simulate", "checkpoint", (b"rangenet-v1\n\xff\n", None)),
+    ],
+)
+def test_cli_bad_input_files_exit_2_naming_them(pipeline, tmp_path, capsys, command, key, content):
+    path, line = tmp_path / f"bad-{key}", None
+    if content == "corrupt":
+        path, line = _corrupt_checkpoint(pipeline[0], tmp_path)
+    elif content is not None:
+        data, line = content
+        path.write_bytes(data if isinstance(data, bytes) else data.encode())
+    # `fit` writes its table; keep it out of the shared suite.
+    paths = {key: path, "param_table": tmp_path / "pt.csv"} if command == "fit" else {key: path}
+    cfg = _suite_config(pipeline, tmp_path, **paths)
+    argv = [command, "--config", str(cfg)] + (["--out", str(tmp_path / "run")] if command == "simulate" else [])
+    capsys.readouterr()
+    assert cli_main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and str(path) in err
+    if line is not None:
+        assert f"{path}:{line}:" in err
+
+
+def test_cli_missing_checkpoint_is_a_config_error(pipeline, tmp_path, capsys):
+    cfg = _suite_config(pipeline, tmp_path, checkpoint=tmp_path / "none.ckpt")
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 1
+    assert "cannot read checkpoint" in capsys.readouterr().err
 
 
 def test_installed_entry_point(tmp_path):

@@ -105,7 +105,7 @@ def test_swipe_fully_watched_wastes_nothing():
     res = swipe(pl, 10.0)
     assert res.wasted_bits == 0.0
     assert res.watched_bits == 10.0 * 2.0 * BITS_PER_MEGABIT
-    assert res.ended
+    assert not pl
 
 
 def test_swipe_splits_at_watch_time():
@@ -133,11 +133,11 @@ def test_swipe_refills_and_flags_end():
     res = swipe(pl, 0.0)
     assert [v.meta.video_id for v in pl] == ["v1", "v2"]
     assert [v.meta.video_id for v in res.added] == ["v2"]
-    assert not res.ended
+    assert pl
     swipe(pl, 0.0)
     swipe(pl, 0.0)
     res = swipe(pl, 0.0)
-    assert res.ended
+    assert not pl
 
 
 def test_swipe_guards():

@@ -508,9 +508,9 @@ def test_fixed_strategies_carry_their_duration():
     d1 = FixedRangeStrategy("deload_1s", 1.0).decide(videos, 1.0, 80.0, 10.0, rng)
     d5 = FixedRangeStrategy("deload_5s", 5.0).decide(videos, 1.0, 80.0, 10.0, rng)
     dn = NaiveFixedStrategy("naive_1s", 1.0).decide(videos, 1.0, 80.0, 10.0, rng)
-    assert d1.duration_s == 1.0 and d1.demands is not None
+    assert d1.duration_s == 1.0
     assert d5.duration_s == 5.0
-    assert dn.duration_s == 1.0 and dn.demands is None and dn.index == 0
+    assert dn.duration_s == 1.0 and dn.index == 0
 
 
 def test_fixed_strategy_respects_issue_floor():
@@ -565,7 +565,6 @@ def test_deterministic_decide_acts_at_the_actor_mean(wte):
     assert dec.index == idx
     assert dec.duration_s == map_to_range(dist.mean, cfg)
     assert dec.extras is None
-    assert dec.demands.demands == dv.demands
 
 
 def test_deterministic_decide_runs_no_critic():

@@ -376,7 +376,7 @@ class _RolloutCriticStrategy(LearnedRangeStrategy):
         dist, value = policy_forward(self.net, state)
         action = sample_action(dist, rng, self.cfg)
         extras = _ValuedExtras(state.features, action.raw, action.log_prob, value)
-        return Decision(index=idx, duration_s=action.duration_s, demands=dv, extras=extras)
+        return Decision(index=idx, duration_s=action.duration_s, extras=extras)
 
 
 def _reference_update(net, optimizers, batch, values, cfg):

@@ -52,7 +52,6 @@ def test_first_task_timing_with_fixed_rtt():
     a = m.actions
     assert a[0].issued_at_s == 0.0
     assert a[0].delivered_s == pytest.approx(1.0, abs=1e-9)
-    assert a[0].closed_at_s == pytest.approx(1.1, abs=1e-9)
     assert a[1].issued_at_s == pytest.approx(1.1, abs=1e-9)
 
 
@@ -75,7 +74,6 @@ def test_no_rebuffering_on_infinite_link():
     )
     assert m.total_rebuffer_s == 0.0
     assert m.n_swipes == 3
-    assert m.played_s == pytest.approx(24.0, abs=1e-6)
 
 
 def test_decisions_poll_every_half_second_when_idle():
@@ -217,7 +215,6 @@ def test_range_clamped_to_video_end():
         watch_s=3.0,
         duration_s=3.0,
     )
-    assert m.actions[0].requested_s == 5.0
     assert m.actions[0].duration_s == 3.0
 
 
@@ -412,7 +409,6 @@ class _PerStepSession(sim._Session):
             step = min(remaining, min(v.buffered_s, target) - pos)
             if step > 1e-15:
                 v.play_pos_s = pos + step
-                self.metrics.played_s += step
                 remaining -= step
                 continue
             start = self.t + dt - remaining
