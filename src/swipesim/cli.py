@@ -189,6 +189,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_simulate(args) -> int:
+    if args.jobs is not None and args.jobs < 1:
+        raise UsageError(f"--jobs: expected at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     spec = experiment_spec(cfg, seed=args.seed, jobs=args.jobs)
     report = run_experiment(spec, args.out)

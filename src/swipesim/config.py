@@ -162,6 +162,8 @@ def load_config(path) -> AppConfig:
         seed=_coerce(doc.get("seed", 0), int, "seed"),
         jobs=_coerce(doc.get("jobs", 1), int, "jobs"),
     )
+    if cfg.jobs < 1:
+        raise ConfigError(f"jobs: expected at least 1, got {cfg.jobs}")
     return _resolve_paths(cfg, Path(path).parent)
 
 

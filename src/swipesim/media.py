@@ -82,6 +82,9 @@ class VideoState:
     chosen_bitrate: float = 0.0
     watch_params: "WeibullParams | None" = None
     segments: list[RangeSegment] = field(default_factory=list)
+    # `policy.build_state`'s memo of this video's clipped watch-time
+    # features: (watch_params, e_high, e_low, high / d, low / d).
+    watch_features: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.chosen_bitrate == 0.0:

@@ -7,7 +7,6 @@ differences and makes training bit-reproducible.
 
 from __future__ import annotations
 
-import functools
 import math
 import re
 from dataclasses import dataclass
@@ -87,12 +86,11 @@ class RangeAction:
     raw: float  # pre-clamp Gaussian draw
 
 
-@functools.lru_cache(maxsize=4096)
 def _watch_features(params: WeibullParams, d: float, e_high: float, e_low: float) -> tuple[float, float]:
-    """Clipped (h / d, l / d) of one video.
+    """Clipped (h / d, l / d) of one video: a pure function of its inputs.
 
-    A pure function of its inputs, memoized so each video's two quantiles
-    are computed once rather than on every decision that sees it queued.
+    `build_state` keeps the result on the video, so each queued video's two
+    quantiles are computed once rather than on every decision that sees it.
     """
     high = min(weibull_quantile(params, e_high), d)
     low = min(weibull_quantile(params, e_low), d)
@@ -118,12 +116,19 @@ def build_state(
     # returning the same operand (x itself for NaN and -0.0).
     k = cfg.k
     wte = cfg.include_watch_estimates
+    e_high, e_low = cfg.e_high, cfg.e_low
     feats: list[float] = []
     for v in playlist[:k]:
         meta = v.meta
         d = meta.duration_s
-        if wte and v.watch_params is not None:
-            high, low = _watch_features(v.watch_params, d, cfg.e_high, cfg.e_low)
+        params = v.watch_params
+        if wte and params is not None:
+            # The video's memo holds (params, e_high, e_low, high, low); a
+            # new params object or quantile level recomputes it.
+            memo = v.watch_features
+            if memo is None or memo[0] is not params or memo[1] != e_high or memo[2] != e_low:
+                memo = v.watch_features = (params, e_high, e_low, *_watch_features(params, d, e_high, e_low))
+            high, low = memo[3], memo[4]
         else:
             high = low = 0.0
         rate = v.chosen_bitrate / meta.bitrate_ladder[-1]
@@ -176,23 +181,25 @@ class Mlp:
     def forward(self, x: np.ndarray) -> tuple[np.ndarray, list[np.ndarray]]:
         """Run a batch (n, in_dim) through the net; returns (out, cache).
 
-        A stacked batch (n, 1, in_dim) runs one single-row product per row,
+        A single state (in_dim,) runs as vector products and comes back as
+        a batch of one, its cache entries row views of those vectors. A
+        stacked batch (n, 1, in_dim) runs one single-row product per row.
+        Both take the same BLAS matrix-vector product as `(1, in_dim) @ W`,
         so row i matches a forward of that row alone bit for bit.
         """
         h = np.asarray(x, dtype=np.float64)
-        if h.ndim == 1:
-            h = h[None, :]
-        cache = [h]
+        vector = h.ndim == 1
+        cache = [h[None, :] if vector else h]
         last = self.n_layers - 1
         for i in range(self.n_layers):
             # In place: the same IEEE operations as `max(h @ w + b, 0)`
             # without a batch-sized temporary per step.
-            h = h @ self.weights[i]
+            h = np.dot(h, self.weights[i]) if vector else h @ self.weights[i]
             h += self.biases[i]
             if i < last:
                 np.maximum(h, 0.0, out=h)
-            cache.append(h)
-        return h, cache
+            cache.append(h[None, :] if vector else h)
+        return cache[-1], cache
 
     def backward(self, cache: list[np.ndarray], dout: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
         """Gradients of a scalar loss given d(loss)/d(output); list of (dW, db)."""

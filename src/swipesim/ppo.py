@@ -121,6 +121,12 @@ class TrainConfig:
     episodes: int = 200
     batch_episodes: int = 8
 
+    def __post_init__(self) -> None:
+        for name, least in (("epochs", 1), ("episodes", 0), ("batch_episodes", 1)):
+            value = getattr(self, name)
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}, got {value}")
+
 
 def discounted_returns(rewards: Sequence[float], dones: Sequence[bool], discount: float) -> np.ndarray:
     """Discounted reward-to-go, resetting at episode boundaries."""

@@ -48,6 +48,21 @@ class SimConfig:
     max_session_s: float = 3600.0
     reward: RewardWeights = field(default_factory=RewardWeights)
 
+    def __post_init__(self) -> None:
+        # A clock that does not advance, or a cap it never reaches, leaves a
+        # session that cannot finish its playlist running forever.
+        if not 0.0 < self.step_ms < math.inf:
+            raise ValueError(f"step_ms must be positive and finite, got {self.step_ms}")
+        if not 0.0 <= self.max_session_s < math.inf:
+            raise ValueError(f"max_session_s must be non-negative and finite, got {self.max_session_s}")
+        if self.queue_depth < 1:
+            raise ValueError(f"queue_depth must be at least 1, got {self.queue_depth}")
+        if not 0.0 <= self.rtt_min_ms <= self.rtt_max_ms < math.inf:
+            raise ValueError(
+                "rtt_min_ms and rtt_max_ms must satisfy 0 <= rtt_min_ms <= rtt_max_ms < inf, "
+                f"got {self.rtt_min_ms} and {self.rtt_max_ms}"
+            )
+
 
 @dataclass
 class DownloadTask:
@@ -156,9 +171,13 @@ def estimate_network(history: Sequence[TaskSample], config: SimConfig) -> tuple[
     recent = history[-config.throughput_window :] if config.throughput_window > 0 else []
     if not recent:
         return config.prior_throughput_mbps, config.prior_rtt_ms
-    q = sum(s.throughput_mbps for s in recent) / len(recent)
-    rtt = sum(s.rtt_ms for s in recent) / len(recent)
-    return q, rtt
+    # Plain left-to-right sums from 0.0: what `sum` gives before Python 3.12,
+    # whose `sum` of floats compensates its rounding.
+    q = rtt = 0.0
+    for s in recent:
+        q += s.throughput_mbps
+        rtt += s.rtt_ms
+    return q / len(recent), rtt / len(recent)
 
 
 def abr_select(ladder: tuple[float, ...], q_mbps: float, safety: float = 0.8) -> float:
@@ -221,6 +240,11 @@ class BandwidthCursor:
         return self.bw
 
 
+# Latencies per `rtt_rng` call; a session uses a few hundred, and draws past
+# its end are never read.
+RTT_BLOCK = 128
+
+
 def _entropy(seed) -> tuple[int, ...]:
     if isinstance(seed, (int, np.integer)):
         return (int(seed),)
@@ -250,6 +274,8 @@ class _Session:
         self.watch_rng = np.random.default_rng(watch_ss)
         self.rtt_rng = np.random.default_rng(rtt_ss)
         self.action_rng = np.random.default_rng(action_ss)
+        # First-byte latencies (ms) drawn ahead in blocks, next one last.
+        self.rtt_draws: list[float] = []
         self.retention = retention
         self.playlist = Playlist(playlist_source, depth=config.queue_depth)
         self.watch_times: dict[str, float] = {}
@@ -289,7 +315,12 @@ class _Session:
         segment = RangeSegment(start_s=video.buffered_s, bitrate_mbps=bitrate)
         video.segments.append(segment)
         video.chosen_bitrate = bitrate
-        rtt_s = float(self.rtt_rng.uniform(cfg.rtt_min_ms, cfg.rtt_max_ms)) / 1000.0
+        draws = self.rtt_draws
+        if not draws:
+            # numpy fills a block with the same `low + (high - low) * u` per
+            # element as one scalar draw, from the same stream in order.
+            draws += reversed(self.rtt_rng.uniform(cfg.rtt_min_ms, cfg.rtt_max_ms, RTT_BLOCK).tolist())
+        rtt_s = draws.pop() / 1000.0
         self.active = DownloadTask(
             video=video,
             segment=segment,

@@ -582,6 +582,43 @@ def test_fixed_range_sweep_runs_with_the_suites_config(pipeline, tmp_path):
     assert max(r.n_swipes for r in report.runs) == 4
 
 
+@pytest.mark.parametrize(
+    "command, section, values, key",
+    [
+        ("simulate", "sim", {"step_ms": 0}, "step_ms"),  # the engine's clock would never move
+        ("simulate", "sim", {"step_ms": -100.0}, "step_ms"),
+        # With no room to buffer, only the session cap ends a session.
+        ("simulate", "sim", {"b_max_s": 0.0, "max_session_s": math.inf}, "max_session_s"),
+        ("simulate", "sim", {"queue_depth": 0}, "queue_depth"),
+        ("simulate", "sim", {"rtt_min_ms": 150.0, "rtt_max_ms": 100.0}, "rtt_min_ms"),
+        ("train", "train", {"batch_episodes": 0}, "batch_episodes"),
+        ("train", "train", {"epochs": 0}, "epochs"),
+        ("train", "train", {"episodes": -4}, "episodes"),
+        ("simulate", None, {"jobs": 0}, "jobs"),
+    ],
+)
+def test_cli_rejects_values_the_engine_or_trainer_cannot_run(
+    pipeline, tmp_path, capsys, command, section, values, key
+):
+    path = _suite_config(pipeline, tmp_path)
+    doc = yaml.safe_load(path.read_text())
+    (doc if section is None else doc.setdefault(section, {})).update(values)
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / ("run" if command == "simulate" else "deload.ckpt")
+    assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+    assert not out.exists()
+
+
+def test_cli_rejects_jobs_below_one(pipeline, tmp_path, capsys):
+    path = _suite_config(pipeline, tmp_path)
+    out = tmp_path / "run"
+    assert cli_main(["simulate", "--config", str(path), "--out", str(out), "--jobs", "0"]) == 1
+    assert "--jobs" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _corrupt_checkpoint(root, tmp_path):
     lines = (root / "checkpoints/deload.ckpt").read_text().splitlines()
     lines[4] = "0.5 not-a-weight"  # first weight row of the actor's first layer

@@ -149,6 +149,17 @@ def test_build_state_matches_reference_bit_for_bit(videos, k, wte, e_low, e_high
         got = build_state(videos, selected, q, rtt, cfg).features
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
+    # New parameters for some videos, then new quantile levels: each must
+    # recompute the memo rather than return the old features.
+    for v in videos:
+        if data.draw(st.booleans()):
+            v.watch_params = data.draw(_params_st)
+    e_low2, e_high2 = data.draw(st.floats(0.0, 0.45)), data.draw(st.floats(0.5, 0.99))
+    for cfg in (cfg, PolicyConfig(k=k, e_high=e_high2, e_low=e_low2, include_watch_estimates=wte)):
+        want = _reference_build_state(videos, selected, q, rtt, cfg)
+        for _ in range(2):
+            got = build_state(videos, selected, q, rtt, cfg).features
+            assert got.tobytes() == want.tobytes()
 
 
 def _min_max_build_state(playlist, selected, q_mbps, rtt_ms, cfg):
@@ -342,13 +353,16 @@ def test_in_place_forward_backward_match_out_of_place(rows, net_name):
 
 
 def _assert_stacked_rows_match_single(mlp, x):
+    """Row i of a stacked forward equals a forward of row i alone, both as
+    a one-row batch and as a vector (the decision path)."""
     stacked, _ = mlp.forward(x[:, None, :])
     assert stacked.shape == (len(x), 1, mlp.sizes[-1])
     for i, row in enumerate(x):
-        single, _ = mlp.forward(row)
         got = [float(v).hex() for v in stacked[i, 0]]
-        want = [float(v).hex() for v in single[0]]
-        assert got == want, f"row {i} of a batch of {len(x)}"
+        for single_input in (row[None, :], row):
+            single, _ = mlp.forward(single_input)
+            want = [float(v).hex() for v in single[0]]
+            assert got == want, f"row {i} of a batch of {len(x)}, input shape {single_input.shape}"
 
 
 @pytest.mark.parametrize("net_name", ["actor", "critic"])
@@ -375,6 +389,32 @@ def test_stacked_forward_rows_match_single_row_on_any_states(rows, seed):
     x = np.array(rows, dtype=np.float64)
     _assert_stacked_rows_match_single(net.actor, x)
     _assert_stacked_rows_match_single(net.critic, x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    state=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0]), min_size=33, max_size=33),
+    seed=st.integers(0, 2**16),
+    net_name=st.sampled_from(["actor", "critic"]),
+    bias=st.sampled_from([0.0, -0.25, -1e3]),
+)
+def test_vector_forward_matches_one_row_batch(state, seed, net_name, bias):
+    """A decision's forward of a 1-D state is the forward of `x[None, :]`:
+    the same shapes and bytes for the output and every cache entry."""
+    mlp = getattr(MlpNet.create(PolicyConfig(), seed=seed), net_name)
+    # A negative bias on half the first layer puts exact zeros behind its
+    # ReLUs (all of them at -1e3).
+    mlp.biases[0][: mlp.sizes[1] // 2] = bias
+    x = np.array(state, dtype=np.float64)
+    out, cache = mlp.forward(x)
+    want_out, want_cache = mlp.forward(x[None, :])
+    assert out.shape == want_out.shape == (1, mlp.sizes[-1])
+    assert out.tobytes() == want_out.tobytes()
+    assert len(cache) == len(want_cache) == mlp.n_layers + 1
+    for got, want in zip(cache, want_cache):
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+    if bias == -1e3:
+        assert (cache[1][0, : mlp.sizes[1] // 2] == 0.0).all()
 
 
 def test_zeroed_actor_gives_known_distribution():

@@ -546,3 +546,110 @@ def test_fused_step_loop_matches_on_random_sessions(monkeypatch, case_seed):
     monkeypatch.setattr(sim, "_Session", _PerStepSession)
     want = run_random_session(case_seed)
     assert _exact(got) == _exact(want)
+
+
+# --- block-drawn latencies ------------------------------------------------------------
+
+
+class _ScalarDrawSession(sim._Session):
+    """The engine before its latencies were drawn in blocks: `_decide` as it
+    was, one `rtt_rng.uniform` call per issued task."""
+
+    def _decide(self) -> None:
+        cfg = self.config
+        q, rtt_est = _sum_estimate_network(self.history, cfg)
+        decision = self.strategy.decide(self.playlist, q, rtt_est, cfg.b_max_s, self.action_rng)
+        if decision is None:
+            self.sleep_until = self.t + cfg.pause_ms / 1000.0
+            return
+        video = self.playlist[decision.index]
+        bitrate = abr_select(video.meta.bitrate_ladder, q, cfg.abr_safety)
+        headroom = cfg.b_max_s - video.buffer_ahead_s
+        duration = min(decision.duration_s, video.remaining_download_s, headroom)
+        if duration <= 0.0:
+            self.sleep_until = self.t + cfg.pause_ms / 1000.0
+            return
+        segment = sim.RangeSegment(start_s=video.buffered_s, bitrate_mbps=bitrate)
+        video.segments.append(segment)
+        video.chosen_bitrate = bitrate
+        rtt_s = float(self.rtt_rng.uniform(cfg.rtt_min_ms, cfg.rtt_max_ms)) / 1000.0
+        self.active = sim.DownloadTask(
+            video=video,
+            segment=segment,
+            duration_s=duration,
+            bitrate_mbps=bitrate,
+            extent_bits=video.meta.range_bits(duration, bitrate),
+            issued_at_s=self.t,
+            rtt_s=rtt_s,
+            rtt_remaining_s=rtt_s,
+        )
+        self.metrics.actions.append(
+            sim.ActionRecord(
+                issued_at_s=self.t,
+                video_index=decision.index,
+                duration_s=duration,
+                bitrate_mbps=bitrate,
+                q_mbps=q,
+                policy=decision.extras,
+            )
+        )
+
+
+def _sum_estimate_network(history, config):
+    """`estimate_network` as it was, with one `sum` per estimate."""
+    recent = history[-config.throughput_window :] if config.throughput_window > 0 else []
+    if not recent:
+        return config.prior_throughput_mbps, config.prior_rtt_ms
+    q = sum(s.throughput_mbps for s in recent) / len(recent)
+    rtt = sum(s.rtt_ms for s in recent) / len(recent)
+    return q, rtt
+
+
+def _assert_sessions_match(got: sim._Session, want: sim._Session) -> None:
+    for f in dataclasses.fields(sim.SessionMetrics):
+        if f.name != "actions":
+            assert _exact(getattr(got.metrics, f.name)) == _exact(getattr(want.metrics, f.name)), f.name
+    assert len(got.metrics.actions) == len(want.metrics.actions)
+    for i, (a, b) in enumerate(zip(got.metrics.actions, want.metrics.actions)):
+        assert _exact(a) == _exact(b), i
+    assert _exact(got.events) == _exact(want.events)
+    assert _exact(got.history) == _exact(want.history)
+
+
+@settings(max_examples=300, deadline=None)
+@given(engine_cases())
+# a learned policy sampling its ranges, on a fixed latency
+@example(([("v0", 9.5, (0.5, 1.0), None, (1.5, 6.0, 0.0)), ("v1", 9.5, (1.0,), 9.5, (1.0, 5.0, 0.0))],
+          [(0, 2.0), (700, 0.3)], dict(rtt_min_ms=80.0, rtt_max_ms=80.0, videos_per_session=2),
+          "learned", 1.0, 5))
+def test_block_drawn_latencies_match_one_draw_per_task(case):
+    got = sim._Session(*_build(case), "viewer")
+    want = _ScalarDrawSession(*_build(case), "viewer")
+    got.run(), want.run()
+    _assert_sessions_match(got, want)
+
+
+@pytest.mark.parametrize("kind", ["fixed", "learned"])
+@pytest.mark.parametrize("rtt", [(40.0, 120.0), (0.0, 0.0), (75.0, 75.0)])
+def test_block_drawn_latencies_match_across_blocks(kind, rtt):
+    """Sessions long enough to use several blocks of latencies."""
+    videos = [(f"v{i}", 20.0, (0.5, 1.0), 20.0, (1.5, 10.0, 0.0)) for i in range(30)]
+    case = (videos, [(0, 1.5), (900, 4.0)], dict(rtt_min_ms=rtt[0], rtt_max_ms=rtt[1], videos_per_session=30),
+            kind, 0.3, 11)
+    got = sim._Session(*_build(case), "viewer")
+    want = _ScalarDrawSession(*_build(case), "viewer")
+    got.run(), want.run()
+    assert len(got.metrics.actions) > 3 * sim.RTT_BLOCK
+    _assert_sessions_match(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    samples=st.lists(st.tuples(st.floats(0.0, 1e3), st.floats(0.0, 1e4)), max_size=9),
+    window=st.integers(0, 6),
+)
+def test_one_loop_estimate_matches_the_sums(samples, window):
+    history = [TaskSample(q, rtt) for q, rtt in samples]
+    cfg = SimConfig(throughput_window=window)
+    got, want = estimate_network(history, cfg), _sum_estimate_network(history, cfg)
+    assert [x.hex() for x in got] == [x.hex() for x in want]
