@@ -284,11 +284,7 @@ class Report:
 
 def session_record(strategy: Strategy, metrics: SessionMetrics, trace: Trace) -> RunRecord:
     actions = metrics.actions
-
-    def column(attr: str, dtype=np.float64) -> np.ndarray:
-        return np.fromiter((getattr(a, attr) for a in actions), dtype=dtype, count=len(actions))
-
-    durations = column("duration_s")
+    durations = np.array(actions.duration_s, dtype=np.float64)
     return RunRecord(
         strategy=strategy.name,
         trace_id=trace.trace_id,
@@ -303,11 +299,11 @@ def session_record(strategy: Strategy, metrics: SessionMetrics, trace: Trace) ->
         n_swipes=metrics.n_swipes,
         mean_range_s=float(np.mean(durations)) if durations.size else 0.0,
         action_durations=durations,
-        action_qs=column("q_mbps"),
-        action_issued=column("issued_at_s"),
-        action_videos=column("video_index", np.int64),
-        action_bitrates=column("bitrate_mbps"),
-        action_rewards=column("reward"),
+        action_qs=np.array(actions.q_mbps, dtype=np.float64),
+        action_issued=np.array(actions.issued_at_s, dtype=np.float64),
+        action_videos=np.array(actions.video_index, dtype=np.int64),
+        action_bitrates=np.array(actions.bitrate_mbps, dtype=np.float64),
+        action_rewards=np.array(actions.reward, dtype=np.float64),
     )
 
 

@@ -47,7 +47,7 @@ class VideoMeta:
         return seconds * bitrate_mbps * BITS_PER_MEGABIT
 
 
-@dataclass
+@dataclass(slots=True)
 class RangeSegment:
     """One contiguous downloaded range of a video at a single bitrate.
 
@@ -101,10 +101,18 @@ class VideoState:
         return self.meta.duration_s - self.buffered_s
 
     def delivered_bits(self) -> float:
-        return sum(seg.delivered_bits for seg in self.segments)
+        # Plain left-to-right sums from 0.0, here and below: Python 3.12's
+        # `sum` of floats compensates its rounding and would give other bytes.
+        total = 0.0
+        for seg in self.segments:
+            total += seg.delivered_bits
+        return total
 
     def watched_prefix_bits(self, watch_s: float) -> float:
-        return sum(seg.watched_bits(watch_s) for seg in self.segments)
+        total = 0.0
+        for seg in self.segments:
+            total += seg.watched_bits(watch_s)
+        return total
 
     def unwatched_bits(self, watch_s: float) -> float:
         return self.delivered_bits() - self.watched_prefix_bits(watch_s)

@@ -399,7 +399,7 @@ def load_checkpoint(path) -> MlpNet:
 # --- strategies ---------------------------------------------------------------
 
 
-@dataclass
+@dataclass(slots=True)
 class PolicyExtras:
     """Training payload attached to a sampled learned-policy decision.
 
@@ -412,7 +412,7 @@ class PolicyExtras:
     log_prob: float
 
 
-@dataclass
+@dataclass(slots=True)
 class Decision:
     """What a strategy wants next: which video and how many media seconds."""
 

@@ -51,42 +51,26 @@ def compute_reward(
     return a_s * b_mbps - weights.alpha * w_clipped / BITS_PER_MEGABIT - weights.stall_beta * bt_s * q_mbps
 
 
-@dataclass(frozen=True)
-class StallEvent:
-    """A rebuffering interval in session wall-clock seconds."""
-
-    start_s: float
-    end_s: float
-
-
-@dataclass(frozen=True)
-class SwipeEvent:
-    """A swipe instant and the bits it wasted."""
-
-    time_s: float
-    wasted_bits: float
-
-
 def attribute_reward_terms(
-    events: Iterable[StallEvent | SwipeEvent],
+    events: Iterable[tuple[float, float, float | None]],
     window_start_s: float,
     window_end_s: float,
 ) -> tuple[float, float]:
     """Waste bits and stall seconds falling in [window_start, window_end).
 
-    Swipes attribute by instant; stalls spanning a boundary split
-    proportionally by overlap.
+    Each event is `(begin_s, end_s, wasted_bits)`: a swipe has its instant
+    as both ends and attributes by that instant; a stall has `wasted_bits`
+    None and splits across window boundaries proportionally by overlap.
     """
     w_bits = 0.0
     bt_s = 0.0
-    for ev in events:
-        if isinstance(ev, SwipeEvent):
-            if window_start_s <= ev.time_s < window_end_s:
-                w_bits += ev.wasted_bits
-        else:
-            overlap = min(ev.end_s, window_end_s) - max(ev.start_s, window_start_s)
+    for begin, end, wasted in events:
+        if wasted is None:
+            overlap = min(end, window_end_s) - max(begin, window_start_s)
             if overlap > 0:
                 bt_s += overlap
+        elif window_start_s <= begin < window_end_s:
+            w_bits += wasted
     return w_bits, bt_s
 
 
@@ -350,20 +334,13 @@ class EpisodeLog:
 
 
 def transitions_from_actions(actions) -> list[Transition]:
-    """Turn a session's recorded policy actions into training transitions."""
-    out: list[Transition] = []
-    for i, rec in enumerate(actions):
-        if rec.policy is None:
-            continue
-        out.append(
-            Transition(
-                features=rec.policy.features,
-                raw=rec.policy.raw,
-                reward=rec.reward,
-                done=(i == len(actions) - 1),
-                log_prob=rec.policy.log_prob,
-            )
-        )
+    """Turn a session's `ActionLog` of policy actions into training
+    transitions; the last one ends the episode."""
+    out = [
+        Transition(features=x.features, raw=x.raw, reward=reward, done=False, log_prob=x.log_prob)
+        for x, reward in zip(actions.policy, actions.reward)
+        if x is not None
+    ]
     if out:
         out[-1] = replace(out[-1], done=True)
     return out
@@ -395,7 +372,7 @@ def train(
         trace = traces[int(picker.integers(len(traces)))]
         metrics = session(strategy, trace, (seed, ep))
         pending.extend(transitions_from_actions(metrics.actions))
-        ranges = [a.duration_s for a in metrics.actions]
+        ranges = metrics.actions.duration_s
         logs.append(
             EpisodeLog(
                 episode=ep,

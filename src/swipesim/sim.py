@@ -26,7 +26,7 @@ from .media import (
     swipe,
 )
 from .policy import PolicyExtras, Strategy
-from .ppo import RewardWeights, StallEvent, SwipeEvent, attribute_reward_terms, compute_reward
+from .ppo import RewardWeights, attribute_reward_terms, compute_reward
 from .watchtime import WeibullParams, weibull_quantile
 
 
@@ -55,6 +55,8 @@ class SimConfig:
             raise ValueError(f"step_ms must be positive and finite, got {self.step_ms}")
         if not 0.0 <= self.max_session_s < math.inf:
             raise ValueError(f"max_session_s must be non-negative and finite, got {self.max_session_s}")
+        if not self.b_max_s > 0.0:
+            raise ValueError(f"b_max_s must be positive, got {self.b_max_s}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be at least 1, got {self.queue_depth}")
         if not 0.0 <= self.rtt_min_ms <= self.rtt_max_ms < math.inf:
@@ -64,48 +66,48 @@ class SimConfig:
             )
 
 
-@dataclass
+@dataclass(slots=True)
 class DownloadTask:
     """An in-flight range request for one video.
 
     The range starts at the video's buffer edge and never extends the
     buffer-ahead past B_max (headroom clamp at issue time). `rtt_s` is dead
-    time before the first byte.
+    time before the first byte. The session's step loop keeps the bits
+    delivered so far and the latency left in locals.
     """
 
     video: VideoState
     segment: RangeSegment
     duration_s: float
-    bitrate_mbps: float
     extent_bits: float
     issued_at_s: float
     rtt_s: float
-    rtt_remaining_s: float
-    delivered_bits: float = 0.0
 
 
-@dataclass(frozen=True)
-class TaskSample:
-    """Measured throughput/latency of a finished (or cancelled) task."""
+@dataclass(slots=True)
+class ActionLog:
+    """The issued range tasks of one session, one list per fact.
 
-    throughput_mbps: float
-    rtt_ms: float
+    Entry i of every list belongs to the i-th issued task; `len()` counts
+    the tasks. `delivered_s` is the media the task delivered before it
+    completed or was cancelled; `waste_bits`, `rebuffer_s` and `reward` are
+    the terms attributed to its window when the session ends; `policy` holds
+    the decision's training payload, None for deterministic decisions.
+    """
 
+    issued_at_s: list[float] = field(default_factory=list)
+    video_index: list[int] = field(default_factory=list)
+    duration_s: list[float] = field(default_factory=list)
+    bitrate_mbps: list[float] = field(default_factory=list)
+    q_mbps: list[float] = field(default_factory=list)
+    delivered_s: list[float] = field(default_factory=list)
+    waste_bits: list[float] = field(default_factory=list)
+    rebuffer_s: list[float] = field(default_factory=list)
+    reward: list[float] = field(default_factory=list)
+    policy: list[PolicyExtras | None] = field(default_factory=list)
 
-@dataclass
-class ActionRecord:
-    """One issued range task and the reward terms attributed to its window."""
-
-    issued_at_s: float
-    video_index: int
-    duration_s: float
-    bitrate_mbps: float
-    q_mbps: float
-    delivered_s: float = 0.0
-    waste_bits: float = 0.0
-    rebuffer_s: float = 0.0
-    reward: float = 0.0
-    policy: PolicyExtras | None = None
+    def __len__(self) -> int:
+        return len(self.issued_at_s)
 
 
 @dataclass
@@ -119,11 +121,16 @@ class SessionMetrics:
     wasted_bits: float = 0.0
     wall_time_s: float = 0.0
     n_swipes: int = 0
-    actions: list[ActionRecord] = field(default_factory=list)
+    actions: ActionLog = field(default_factory=ActionLog)
 
     @property
     def qoe(self) -> float:
-        return sum(rec.reward for rec in self.actions)
+        # A plain left-to-right sum: Python 3.12's `sum` of floats
+        # compensates its rounding and would give other bytes.
+        total = 0.0
+        for reward in self.actions.reward:
+            total += reward
+        return total
 
     @property
     def waste_ratio(self) -> float:
@@ -163,10 +170,11 @@ class RetentionSource:
         return float(min(max(draw, 0.0), video.meta.duration_s))
 
 
-def estimate_network(history: Sequence[TaskSample], config: SimConfig) -> tuple[float, float]:
+def estimate_network(history: Sequence[tuple[float, float]], config: SimConfig) -> tuple[float, float]:
     """Sliding-window mean throughput (Mbps) and RTT (ms) over recent tasks.
 
-    Before any task completes, returns the configured priors.
+    `history` holds a `(throughput_mbps, rtt_ms)` pair per finished or
+    cancelled task. Before any task completes, returns the configured priors.
     """
     recent = history[-config.throughput_window :] if config.throughput_window > 0 else []
     if not recent:
@@ -174,9 +182,9 @@ def estimate_network(history: Sequence[TaskSample], config: SimConfig) -> tuple[
     # Plain left-to-right sums from 0.0: what `sum` gives before Python 3.12,
     # whose `sum` of floats compensates its rounding.
     q = rtt = 0.0
-    for s in recent:
-        q += s.throughput_mbps
-        rtt += s.rtt_ms
+    for throughput, rtt_ms in recent:
+        q += throughput
+        rtt += rtt_ms
     return q / len(recent), rtt / len(recent)
 
 
@@ -191,29 +199,28 @@ def abr_select(ladder: tuple[float, ...], q_mbps: float, safety: float = 0.8) ->
 
 
 def attribute_windows(
-    events: Sequence[StallEvent | SwipeEvent], issued: Sequence[float]
+    events: Sequence[tuple[float, float, float | None]], issued: Sequence[float]
 ) -> list[tuple[float, float]]:
     """Waste bits and stall seconds of every action window, in one sweep.
 
     Window i is [issued[i], issued[i+1]); the last one runs to infinity and
     events before the first action fall in none. `issued` is non-decreasing
-    and `events` is in non-decreasing start order, as a session appends
-    them. Each window hands `attribute_reward_terms` only the stretch of the
-    log that can touch it, in log order, so its sums add the same terms in
-    the same order as a rescan of the whole log and match it bit for bit.
+    and `events` (`(begin_s, end_s, wasted_bits)` tuples) is in
+    non-decreasing start order, as a session appends them. Each window
+    hands `attribute_reward_terms` only the stretch of the log that can
+    touch it, in log order, so its sums add the same terms in the same
+    order as a rescan of the whole log and match it bit for bit.
     """
-    begins = [ev.time_s if isinstance(ev, SwipeEvent) else ev.start_s for ev in events]
-    ends = [ev.time_s if isinstance(ev, SwipeEvent) else ev.end_s for ev in events]
     n = len(events)
     lo = hi = 0
     terms = []
     for i, start in enumerate(issued):
         end = issued[i + 1] if i + 1 < len(issued) else math.inf
         # An event over before this window starts touches no later one either.
-        while lo < n and ends[lo] < start:
+        while lo < n and events[lo][1] < start:
             lo += 1
         hi = max(hi, lo)
-        while hi < n and begins[hi] < end:
+        while hi < n and events[hi][0] < end:
             hi += 1
         terms.append(attribute_reward_terms(events[lo:hi], start, end))
     return terms
@@ -282,12 +289,12 @@ class _Session:
         for v in self.playlist:
             self._sample_watch(v)
         self.metrics = SessionMetrics(trace_id=trace.trace_id)
-        self.events: list = []
-        # Only the last `throughput_window` samples feed estimate_network.
-        self.history: list[TaskSample] = []
-        self.active: DownloadTask | None = None
-        self.sleep_until = -math.inf
-        self.cancel_pending = False
+        # One `(begin_s, end_s, wasted_bits)` tuple per event, in start
+        # order: a swipe at `t` is `(t, t, bits)`, a stall `(start, end, None)`.
+        self.events: list[tuple[float, float, float | None]] = []
+        # `(throughput_mbps, rtt_ms)` of recent tasks; only the last
+        # `throughput_window` feed estimate_network.
+        self.history: list[tuple[float, float]] = []
         self.t = 0.0
 
     def _sample_watch(self, video: VideoState) -> None:
@@ -297,21 +304,20 @@ class _Session:
 
     # -- download side ---------------------------------------------------
 
-    def _decide(self) -> None:
+    def _decide(self, t: float) -> DownloadTask | None:
+        """Ask the strategy for a task at time `t`; None means pause."""
         cfg = self.config
         q, rtt_est = estimate_network(self.history, cfg)
         decision = self.strategy.decide(self.playlist, q, rtt_est, cfg.b_max_s, self.action_rng)
         if decision is None:
-            self.sleep_until = self.t + cfg.pause_ms / 1000.0
-            return
+            return None
         video = self.playlist[decision.index]
         bitrate = abr_select(video.meta.bitrate_ladder, q, cfg.abr_safety)
         headroom = cfg.b_max_s - video.buffer_ahead_s
         duration = min(decision.duration_s, video.remaining_download_s, headroom)
         if duration <= 0.0:
             # Nothing sensible to request; treat like an empty selection.
-            self.sleep_until = self.t + cfg.pause_ms / 1000.0
-            return
+            return None
         segment = RangeSegment(start_s=video.buffered_s, bitrate_mbps=bitrate)
         video.segments.append(segment)
         video.chosen_bitrate = bitrate
@@ -321,60 +327,26 @@ class _Session:
             # element as one scalar draw, from the same stream in order.
             draws += reversed(self.rtt_rng.uniform(cfg.rtt_min_ms, cfg.rtt_max_ms, RTT_BLOCK).tolist())
         rtt_s = draws.pop() / 1000.0
-        self.active = DownloadTask(
-            video=video,
-            segment=segment,
-            duration_s=duration,
-            bitrate_mbps=bitrate,
-            extent_bits=video.meta.range_bits(duration, bitrate),
-            issued_at_s=self.t,
-            rtt_s=rtt_s,
-            rtt_remaining_s=rtt_s,
-        )
-        self.metrics.actions.append(
-            ActionRecord(
-                issued_at_s=self.t,
-                video_index=decision.index,
-                duration_s=duration,
-                bitrate_mbps=bitrate,
-                q_mbps=q,
-                policy=decision.extras,
-            )
-        )
+        actions = self.metrics.actions
+        actions.issued_at_s.append(t)
+        actions.video_index.append(decision.index)
+        actions.duration_s.append(duration)
+        actions.bitrate_mbps.append(bitrate)
+        actions.q_mbps.append(q)
+        actions.policy.append(decision.extras)
+        return DownloadTask(video, segment, duration, video.meta.range_bits(duration, bitrate), t, rtt_s)
 
-    def _complete_task(self, end_wall: float) -> None:
-        task = self.active
-        assert task is not None
-        transfer_s = max(end_wall - task.issued_at_s - task.rtt_s, 1e-9)
-        self._record_sample(
-            TaskSample(
-                throughput_mbps=task.extent_bits / BITS_PER_MEGABIT / transfer_s,
-                rtt_ms=task.rtt_s * 1000.0,
-            )
-        )
-        rec = self.metrics.actions[-1]
-        rec.delivered_s = task.duration_s
-        self.active = None
+    def _cancel_task(self, task: DownloadTask, got: float, end_wall: float) -> None:
+        """Close `task` with `got` of its bits delivered."""
+        self.metrics.actions.delivered_s.append(got / (task.segment.bitrate_mbps * BITS_PER_MEGABIT))
+        if got > 0.0:
+            # Bits flow only once the first-byte latency is spent in full.
+            transfer_s = max(end_wall - task.issued_at_s - task.rtt_s, 1e-9)
+            self._record_sample(got / BITS_PER_MEGABIT / transfer_s, task.rtt_s * 1000.0)
 
-    def _cancel_task(self, end_wall: float) -> None:
-        task = self.active
-        assert task is not None
-        rec = self.metrics.actions[-1]
-        rec.delivered_s = task.delivered_bits / (task.bitrate_mbps * BITS_PER_MEGABIT)
-        if task.delivered_bits > 0.0:
-            consumed_rtt = task.rtt_s - task.rtt_remaining_s
-            transfer_s = max(end_wall - task.issued_at_s - consumed_rtt, 1e-9)
-            self._record_sample(
-                TaskSample(
-                    throughput_mbps=task.delivered_bits / BITS_PER_MEGABIT / transfer_s,
-                    rtt_ms=task.rtt_s * 1000.0,
-                )
-            )
-        self.active = None
-
-    def _record_sample(self, sample: TaskSample) -> None:
+    def _record_sample(self, throughput_mbps: float, rtt_ms: float) -> None:
         history = self.history
-        history.append(sample)
+        history.append((throughput_mbps, rtt_ms))
         if len(history) > self.config.throughput_window:
             del history[0]
 
@@ -383,14 +355,12 @@ class _Session:
     def _swipe_now(self, wall: float) -> None:
         v = self.playlist.current
         res = swipe(self.playlist, v.play_pos_s)
-        self.events.append(SwipeEvent(time_s=wall, wasted_bits=res.wasted_bits))
+        self.events.append((wall, wall, res.wasted_bits))
         self.metrics.wasted_bits += res.wasted_bits
         self.metrics.watched_bits += res.watched_bits
         self.metrics.n_swipes += 1
         for nv in res.added:
             self._sample_watch(nv)
-        if self.active is not None:
-            self.cancel_pending = True
 
     # -- orchestration -----------------------------------------------------
 
@@ -406,29 +376,30 @@ class _Session:
         """
         cfg = self.config
         dt = cfg.step_ms / 1000.0
+        pause = cfg.pause_ms / 1000.0
         t_end = cfg.max_session_s - 1e-12
         videos = self.playlist.videos
         watch_times = self.watch_times
         events = self.events
+        delivered = self.metrics.actions.delivered_s
         cursor = self.bandwidth
         period = cursor.period
         lo, hi, bw = cursor.lo, cursor.hi, cursor.bw
         m = self.metrics
         downloaded, rebuffer = m.downloaded_bits, m.total_rebuffer_s
         t = self.t
-        wake = self.sleep_until - 1e-12
+        wake = -math.inf
         task = cur = None
+        cancel = False
         while videos and t < t_end:
             if task is None and t >= wake:
-                self.t = t
-                self._decide()
-                task = self.active
+                task = self._decide(t)
                 if task is None:
-                    wake = self.sleep_until - 1e-12
+                    wake = t + pause - 1e-12
                 else:
                     # The segment's bits equal the task's until the last step.
-                    seg, extent, rtt_left = task.segment, task.extent_bits, task.rtt_remaining_s
-                    got, seg_start = seg.delivered_bits, seg.start_s
+                    seg, extent, rtt_left = task.segment, task.extent_bits, task.rtt_s
+                    got, seg_start = 0.0, seg.start_s
                     seg_rate = seg.bitrate_mbps * BITS_PER_MEGABIT
                     tvideo = task.video
 
@@ -450,7 +421,9 @@ class _Session:
                     downloaded += take
                     if bits >= need or got >= extent:
                         seg.delivered_bits = got
-                        self._complete_task(end_wall=t + dt)
+                        transfer_s = max(t + dt - task.issued_at_s - task.rtt_s, 1e-9)
+                        self._record_sample(extent / BITS_PER_MEGABIT / transfer_s, task.rtt_s * 1000.0)
+                        delivered.append(task.duration_s)
                         task = None
 
             remaining = dt
@@ -465,6 +438,7 @@ class _Session:
                 if pos >= swipe_at:
                     if task is not None:
                         seg.delivered_bits = got
+                        cancel = True
                     self._swipe_now(wall=t + dt - remaining)
                     # The next video plays: look its target up after the refill.
                     cur = None
@@ -479,47 +453,41 @@ class _Session:
                     cur.play_pos_s = pos + step
                     remaining -= step
                     continue
-                events.append(StallEvent(start_s=t + dt - remaining, end_s=t + dt))
+                events.append((t + dt - remaining, t + dt, None))
                 rebuffer += remaining
                 remaining = 0.0
 
-            if self.cancel_pending:
-                if task is not None:
-                    seg.delivered_bits = task.delivered_bits = got
-                    task.rtt_remaining_s = rtt_left
-                    self._cancel_task(end_wall=t + dt)
-                    task = None
-                self.cancel_pending = False
+            if cancel:
+                self._cancel_task(task, got, end_wall=t + dt)
+                task = None
+                cancel = False
             t += dt
 
         self.t = t
         if task is not None:
-            seg.delivered_bits = task.delivered_bits = got
-            task.rtt_remaining_s = rtt_left
+            seg.delivered_bits = got
+            self._cancel_task(task, got, end_wall=t)
         m.downloaded_bits, m.total_rebuffer_s = downloaded, rebuffer
         self._finalize()
         return m
 
     def _finalize(self) -> None:
-        if self.active is not None:
-            self._cancel_task(end_wall=self.t)
+        m = self.metrics
         # Residual buffered bits of whatever is still queued count as waste
         # (non-empty only when the session hit its wall-clock cap).
         for v in self.playlist:
             watched = v.watched_prefix_bits(v.play_pos_s)
             wasted = v.delivered_bits() - watched
-            self.metrics.watched_bits += watched
-            self.metrics.wasted_bits += wasted
-        self.metrics.wall_time_s = self.t
-        actions = self.metrics.actions
-        issued = [rec.issued_at_s for rec in actions]
-        terms = attribute_windows(self.events, issued)
-        for rec, (w_bits, bt_s) in zip(actions, terms):
-            rec.waste_bits = w_bits
-            rec.rebuffer_s = bt_s
-            rec.reward = compute_reward(
-                rec.delivered_s, rec.bitrate_mbps, w_bits, bt_s, rec.q_mbps, self.config.reward
-            )
+            m.watched_bits += watched
+            m.wasted_bits += wasted
+        m.wall_time_s = self.t
+        a = m.actions
+        weights = self.config.reward
+        terms = attribute_windows(self.events, a.issued_at_s)
+        for a_s, b_mbps, q_mbps, (w_bits, bt_s) in zip(a.delivered_s, a.bitrate_mbps, a.q_mbps, terms):
+            a.waste_bits.append(w_bits)
+            a.rebuffer_s.append(bt_s)
+            a.reward.append(compute_reward(a_s, b_mbps, w_bits, bt_s, q_mbps, weights))
 
 
 def run_session(

@@ -40,14 +40,22 @@ def flat_trace(mbps: float, trace_id: str = "flat") -> Trace:
 
 
 def run_random_session(case_seed: int):
-    """One randomized session for fuzzing; returns its SessionMetrics.
+    """One randomized session for fuzzing; returns its SessionMetrics."""
+    from swipesim.sim import run_session
+
+    return run_session(*random_session_inputs(case_seed))
+
+
+def random_session_inputs(case_seed: int) -> tuple:
+    """Fresh `run_session` arguments of one randomized session, without
+    `user_id`.
 
     Cases vary catalog, retention, trace shape, strategy, and sim constants;
     a quarter of them hit the wall-clock cap so the end-of-session residual
     path is exercised too.
     """
     from swipesim.policy import FixedRangeStrategy, NaiveFixedStrategy
-    from swipesim.sim import RetentionSource, SimConfig, run_session
+    from swipesim.sim import RetentionSource, SimConfig
 
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(case_seed, 0xF022)))
 
@@ -90,7 +98,7 @@ def run_random_session(case_seed: int):
         max_session_s=25.0 if case_seed % 4 == 0 else 3600.0,
     )
     retention = RetentionSource(params=retention_params)
-    return run_session(trace, iter(videos), retention, strategy, cfg, seed=(case_seed, 3))
+    return trace, iter(videos), retention, strategy, cfg, (case_seed, 3)
 
 
 def max_rel_grad_error(mlp, loss_fn, eps: float = 1e-5) -> float:

@@ -35,7 +35,7 @@ from swipesim.harness import (
     write_report,
 )
 from swipesim.policy import LearnedRangeStrategy, MlpNet, PolicyConfig, save_checkpoint
-from swipesim.sim import ActionRecord, SessionMetrics
+from swipesim.sim import ActionLog, SessionMetrics
 from swipesim.watchtime import WeibullParams
 
 
@@ -299,10 +299,11 @@ def _record(strategy, trace_id, mean_mbps, qoe, durations, qs=None, rebuffer=0.2
 
 def test_session_record_maps_metrics():
     trace = flat_trace(2.0)
-    actions = [
-        ActionRecord(0.0, 0, 1.0, 0.5, 1.0, reward=0.4),
-        ActionRecord(1.0, 0, 3.0, 0.5, 1.0, reward=0.2),
-    ]
+    actions = ActionLog(
+        issued_at_s=[0.0, 1.0], video_index=[0, 2], duration_s=[1.0, 3.0], bitrate_mbps=[0.5, 0.75],
+        q_mbps=[1.0, 1.5], delivered_s=[1.0, 2.5], waste_bits=[0.0, 1e6], rebuffer_s=[0.5, 0.0],
+        reward=[0.4, 0.2], policy=[None, None],
+    )
     m = SessionMetrics(
         trace_id="flat", total_rebuffer_s=0.5, downloaded_bits=4e6,
         watched_bits=3e6, wasted_bits=1e6, n_swipes=3, actions=actions,
@@ -319,6 +320,11 @@ def test_session_record_maps_metrics():
     assert rec.n_actions == 2 and rec.n_swipes == 3
     assert rec.mean_range_s == 2.0
     assert rec.action_durations.tolist() == [1.0, 3.0]
+    assert rec.action_issued.tolist() == [0.0, 1.0]
+    assert rec.action_videos.dtype == np.int64 and rec.action_videos.tolist() == [0, 2]
+    assert rec.action_bitrates.tolist() == [0.5, 0.75]
+    assert rec.action_qs.tolist() == [1.0, 1.5]
+    assert rec.action_rewards.tolist() == [0.4, 0.2]
 
 
 def test_report_normalization():
@@ -609,6 +615,47 @@ def test_cli_rejects_values_the_engine_or_trainer_cannot_run(
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, strategies, sim, policy",
+    [
+        # B_max must be positive whatever the strategies.
+        ("simulate", ["naive_1s"], {"b_max_s": 0.0}, {}),
+        # At or below a demand-selecting strategy's issue floor no video is
+        # ever eligible: every session would stall until the cap.
+        ("simulate", ["deload_1s"], {"b_max_s": 0.2}, {}),
+        ("simulate", ["naive_1s", "deload_5s"], {"b_max_s": 0.1}, {}),
+        ("simulate", ["deload"], {"b_max_s": 0.2}, {}),
+        ("simulate", ["naive_1s", "deload"], {"b_max_s": 0.8}, {"range_min_s": 1.0}),
+        # Training runs the learned strategy whatever the list says.
+        ("train", ["naive_1s"], {"b_max_s": 0.2}, {}),
+        ("train --variant deload_no_wte", ["naive_1s"], {"b_max_s": 0.8}, {"range_min_s": 1.0}),
+    ],
+)
+def test_cli_rejects_b_max_at_or_below_the_issue_floor(pipeline, tmp_path, capsys, command, strategies, sim, policy):
+    path = _suite_config(pipeline, tmp_path, strategies=strategies)
+    doc = yaml.safe_load(path.read_text())
+    doc["sim"].update(sim)
+    doc.setdefault("policy", {}).update(policy)
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / ("run" if command == "simulate" else "deload.ckpt")
+    capsys.readouterr()
+    assert cli_main([*command.split(), "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sim") and "b_max_s" in err
+    assert not out.exists()
+
+
+def test_cli_naive_alone_runs_below_the_issue_floor(pipeline, tmp_path):
+    """Order-based selection has no floor: it downloads at any positive B_max."""
+    path = _suite_config(pipeline, tmp_path, strategies=["naive_1s"])
+    doc = yaml.safe_load(path.read_text())
+    doc["sim"]["b_max_s"] = 0.1
+    path.write_text(yaml.safe_dump(doc))
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    report = load_report(tmp_path / "run")
+    assert all(r.n_actions > 0 for r in report.runs)
 
 
 def test_cli_rejects_jobs_below_one(pipeline, tmp_path, capsys):

@@ -25,8 +25,6 @@ from swipesim.ppo import (
     EpisodeLog,
     PpoOptimizers,
     RewardWeights,
-    StallEvent,
-    SwipeEvent,
     TrainConfig,
     Transition,
     actor_loss_and_grads,
@@ -40,7 +38,7 @@ from swipesim.ppo import (
     transitions_from_actions,
     write_learning_curve,
 )
-from swipesim.sim import RetentionSource, SimConfig, run_session
+from swipesim.sim import ActionLog, RetentionSource, SimConfig, run_session
 from swipesim.watchtime import WeibullParams
 
 
@@ -81,24 +79,24 @@ def test_attribute_empty():
 
 
 def test_attribute_swipes_by_instant():
-    events = [SwipeEvent(1.0, 5e6), SwipeEvent(2.0, 3e6), SwipeEvent(4.0, 1e6)]
+    events = [(1.0, 1.0, 5e6), (2.0, 2.0, 3e6), (4.0, 4.0, 1e6)]
     w, bt = attribute_reward_terms(events, 1.0, 4.0)  # [1, 4): start in, end out
     assert w == 8e6 and bt == 0.0
 
 
 def test_attribute_stalls_split_proportionally():
-    events = [StallEvent(1.0, 3.0)]
+    events = [(1.0, 3.0, None)]
     w1, b1 = attribute_reward_terms(events, 0.0, 2.0)
     w2, b2 = attribute_reward_terms(events, 2.0, 4.0)
     assert (b1, b2) == (1.0, 1.0)
-    _, b_inside = attribute_reward_terms([StallEvent(0.5, 0.7)], 0.0, 2.0)
+    _, b_inside = attribute_reward_terms([(0.5, 0.7, None)], 0.0, 2.0)
     assert b_inside == pytest.approx(0.2)
-    _, b_out = attribute_reward_terms([StallEvent(5.0, 6.0)], 0.0, 2.0)
+    _, b_out = attribute_reward_terms([(5.0, 6.0, None)], 0.0, 2.0)
     assert b_out == 0.0
 
 
 def test_attribute_covers_events_exactly_once():
-    events = [StallEvent(0.4, 2.6), SwipeEvent(0.0, 1e6), SwipeEvent(2.0, 2e6)]
+    events = [(0.4, 2.6, None), (0.0, 0.0, 1e6), (2.0, 2.0, 2e6)]
     windows = [(0.0, 1.0), (1.0, 2.0), (2.0, math.inf)]
     w_total = sum(attribute_reward_terms(events, a, b)[0] for a, b in windows)
     bt_total = sum(attribute_reward_terms(events, a, b)[1] for a, b in windows)
@@ -269,22 +267,18 @@ def test_update_is_deterministic():
 
 
 def test_transitions_from_actions_marks_last_done():
-    class Rec:
-        def __init__(self, policy, reward):
-            self.policy = policy
-            self.reward = reward
+    def extras(i):
+        return PolicyExtras(features=np.zeros(3), raw=float(i), log_prob=-1.0)
 
-    class Extras:
-        def __init__(self, i):
-            self.features = np.zeros(3)
-            self.raw = float(i)
-            self.log_prob = -1.0
-
-    recs = [Rec(Extras(0), 1.0), Rec(None, 5.0), Rec(Extras(2), 2.0)]
-    out = transitions_from_actions(recs)
+    log = ActionLog(policy=[extras(0), None, extras(2)], reward=[1.0, 5.0, 2.0])
+    out = transitions_from_actions(log)
     assert [t.raw for t in out] == [0.0, 2.0]
+    assert [t.reward for t in out] == [1.0, 2.0]
     assert [t.done for t in out] == [False, True]
-    assert transitions_from_actions([]) == []
+    # The last transition ends the episode even when a later action has none.
+    out = transitions_from_actions(ActionLog(policy=[extras(0), extras(1), None], reward=[1.0, 5.0, 2.0]))
+    assert [t.done for t in out] == [False, True]
+    assert transitions_from_actions(ActionLog()) == []
 
 
 # --- the training loop ------------------------------------------------------
@@ -415,8 +409,8 @@ def _reference_train(net, traces, session_factory, train_cfg, seed):
         trace = traces[int(picker.integers(len(traces)))]
         metrics = session_factory(strategy, trace, (seed, ep))
         pending.extend(transitions_from_actions(metrics.actions))
-        values.extend(a.policy.value for a in metrics.actions if a.policy is not None)
-        ranges = [a.duration_s for a in metrics.actions]
+        values.extend(x.value for x in metrics.actions.policy if x is not None)
+        ranges = metrics.actions.duration_s
         logs.append(
             EpisodeLog(
                 episode=ep,

@@ -1,29 +1,44 @@
 import bisect
 import dataclasses
+import functools
 import math
+import operator
+from dataclasses import dataclass, field
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from conftest import buffer_to, flat_trace, make_video, run_random_session
+from conftest import buffer_to, flat_trace, make_video, random_session_inputs, run_random_session
 from swipesim import sim
 from swipesim.demand import fitted_survival, uniform_survival
-from swipesim.media import BITS_PER_MEGABIT, EPS_S, NetworkSample, Trace, VideoMeta, VideoState
+from swipesim.media import (
+    BITS_PER_MEGABIT,
+    EPS_S,
+    NetworkSample,
+    Playlist,
+    RangeSegment,
+    Trace,
+    VideoMeta,
+    VideoState,
+    swipe,
+)
 from swipesim.policy import (
     FixedRangeStrategy,
     LearnedRangeStrategy,
     MlpNet,
     NaiveFixedStrategy,
     PolicyConfig,
+    PolicyExtras,
     Strategy,
 )
-from swipesim.ppo import StallEvent, SwipeEvent, attribute_reward_terms, compute_reward
+from swipesim.ppo import attribute_reward_terms, compute_reward
 from swipesim.sim import (
+    ActionLog,
     BandwidthCursor,
     RetentionSource,
+    SessionMetrics,
     SimConfig,
-    TaskSample,
     abr_select,
     attribute_windows,
     estimate_network,
@@ -50,9 +65,9 @@ def test_first_task_timing_with_fixed_rtt():
         rtt_min_ms=100.0, rtt_max_ms=100.0,
     )
     a = m.actions
-    assert a[0].issued_at_s == 0.0
-    assert a[0].delivered_s == pytest.approx(1.0, abs=1e-9)
-    assert a[1].issued_at_s == pytest.approx(1.1, abs=1e-9)
+    assert a.issued_at_s[0] == 0.0
+    assert a.delivered_s[0] == pytest.approx(1.0, abs=1e-9)
+    assert a.issued_at_s[1] == pytest.approx(1.1, abs=1e-9)
 
 
 def test_measured_throughput_feeds_next_action():
@@ -60,8 +75,8 @@ def test_measured_throughput_feeds_next_action():
         flat_trace(2.0), NaiveFixedStrategy("naive_1s", 1.0), watch_s=60.0,
         rtt_min_ms=100.0, rtt_max_ms=100.0,
     )
-    assert m.actions[0].q_mbps == 1.0  # prior before any measurement
-    assert m.actions[1].q_mbps == pytest.approx(2.0, rel=1e-9)
+    assert m.actions.q_mbps[0] == 1.0  # prior before any measurement
+    assert m.actions.q_mbps[1] == pytest.approx(2.0, rel=1e-9)
 
 
 def test_no_rebuffering_on_infinite_link():
@@ -100,8 +115,8 @@ def test_decisions_poll_every_half_second_when_idle():
 def test_estimate_network_prior_then_window():
     cfg = SimConfig()
     assert estimate_network([], cfg) == (1.0, 80.0)
-    assert estimate_network([TaskSample(2.0, 100.0)], cfg) == (2.0, 100.0)
-    hist = [TaskSample(float(x), 50.0) for x in range(1, 8)]
+    assert estimate_network([(2.0, 100.0)], cfg) == (2.0, 100.0)
+    hist = [(float(x), 50.0) for x in range(1, 8)]
     q, rtt = estimate_network(hist, cfg)  # window 5 -> mean of 3..7
     assert q == pytest.approx(5.0)
     assert rtt == 50.0
@@ -111,17 +126,18 @@ def test_estimate_network_prior_then_window():
 def test_bounded_history_gives_the_unbounded_estimates(monkeypatch, window):
     made, seen = [], []
     estimate = sim.estimate_network
+    record = sim._Session._record_sample
 
-    def recording_sample(**kw):
-        made.append(TaskSample(**kw))
-        return made[-1]
+    def recording_sample(self, throughput_mbps, rtt_ms):
+        made.append((throughput_mbps, rtt_ms))
+        record(self, throughput_mbps, rtt_ms)
 
     def checking_estimate(history, config):
         assert len(history) <= window
         seen.append((estimate(history, config), estimate(list(made), config)))
         return seen[-1][0]
 
-    monkeypatch.setattr(sim, "TaskSample", recording_sample)
+    monkeypatch.setattr(sim._Session, "_record_sample", recording_sample)
     monkeypatch.setattr(sim, "estimate_network", checking_estimate)
     metas = [VideoMeta(f"v{i}", 12.0, (0.5, 1.0, 2.0)) for i in range(6)]
     retention = RetentionSource(empirical={m.video_id: [2.5 + 1.5 * i] for i, m in enumerate(metas)})
@@ -202,8 +218,7 @@ def test_swipe_cancels_active_task():
     cfg = SimConfig(videos_per_session=2)
     strat = FixedRangeStrategy("deload_8s", 8.0, survival=uniform_survival)
     m = run_session(flat_trace(0.3), videos, retention, strat, cfg, seed=0)
-    first = m.actions[0]
-    assert first.delivered_s < first.duration_s
+    assert m.actions.delivered_s[0] < m.actions.duration_s[0]
     assert m.wasted_bits > 0.0
     assert m.downloaded_bits == pytest.approx(m.watched_bits + m.wasted_bits, rel=1e-9)
 
@@ -215,18 +230,18 @@ def test_range_clamped_to_video_end():
         watch_s=3.0,
         duration_s=3.0,
     )
-    assert m.actions[0].duration_s == 3.0
+    assert m.actions.duration_s[0] == 3.0
 
 
 def test_reward_terms_reconcile_with_session_totals():
     m = run_random_session(7)
-    assert m.actions, "fuzz case must issue at least one task"
-    assert sum(a.waste_bits for a in m.actions) == pytest.approx(m.wasted_bits, rel=1e-9, abs=1e-6)
-    assert sum(a.rebuffer_s for a in m.actions) == pytest.approx(m.total_rebuffer_s, rel=1e-9, abs=1e-9)
-    for a in m.actions:
-        expected = compute_reward(a.delivered_s, a.bitrate_mbps, a.waste_bits, a.rebuffer_s, a.q_mbps)
-        assert a.reward == pytest.approx(expected, rel=1e-12, abs=1e-12)
-    assert m.qoe == pytest.approx(sum(a.reward for a in m.actions))
+    a = m.actions
+    assert a, "fuzz case must issue at least one task"
+    assert sum(a.waste_bits) == pytest.approx(m.wasted_bits, rel=1e-9, abs=1e-6)
+    assert sum(a.rebuffer_s) == pytest.approx(m.total_rebuffer_s, rel=1e-9, abs=1e-9)
+    for d, b, w, bt, q, r in zip(a.delivered_s, a.bitrate_mbps, a.waste_bits, a.rebuffer_s, a.q_mbps, a.reward):
+        assert r == pytest.approx(compute_reward(d, b, w, bt, q), rel=1e-12, abs=1e-12)
+    assert m.qoe == pytest.approx(sum(a.reward))
 
 
 def test_session_is_deterministic_in_seed():
@@ -236,10 +251,8 @@ def test_session_is_deterministic_in_seed():
     assert m1.wasted_bits == m2.wasted_bits
     assert m1.total_rebuffer_s == m2.total_rebuffer_s
     assert len(m1.actions) == len(m2.actions)
-    for a, b in zip(m1.actions, m2.actions):
-        assert (a.issued_at_s, a.duration_s, a.bitrate_mbps, a.reward) == (
-            b.issued_at_s, b.duration_s, b.bitrate_mbps, b.reward
-        )
+    for name in ("issued_at_s", "duration_s", "bitrate_mbps", "reward"):
+        assert getattr(m1.actions, name) == getattr(m2.actions, name)
 
 
 # --- reward attribution ----------------------------------------------------------
@@ -258,9 +271,9 @@ def event_logs(draw):
     events = []
     for k in sorted(draw(st.lists(st.integers(0, 60), max_size=30))):
         if draw(st.booleans()):
-            events.append(SwipeEvent(k / 10, draw(st.floats(0.0, 1e7))))
+            events.append((k / 10, k / 10, draw(st.floats(0.0, 1e7))))
         else:
-            events.append(StallEvent(k / 10, (k + draw(st.integers(0, 25))) / 10))
+            events.append((k / 10, (k + draw(st.integers(0, 25))) / 10, None))
     issued = sorted(draw(st.lists(st.integers(0, 60), min_size=1, max_size=12)))
     return events, [k / 10 for k in issued]
 
@@ -268,22 +281,22 @@ def event_logs(draw):
 @settings(max_examples=300, deadline=None)
 @given(event_logs())
 # swipes exactly at a window's start and at its end
-@example(([SwipeEvent(1.0, 3e6), SwipeEvent(2.0, 5e6)], [1.0, 2.0]))
+@example(([(1.0, 1.0, 3e6), (2.0, 2.0, 5e6)], [1.0, 2.0]))
 # a stall crossing a window boundary
-@example(([StallEvent(0.5, 1.5)], [0.0, 1.0]))
+@example(([(0.5, 1.5, None)], [0.0, 1.0]))
 # events before the first action
-@example(([SwipeEvent(0.2, 1e6), StallEvent(0.3, 0.9), StallEvent(0.9, 1.3)], [1.0, 2.0]))
+@example(([(0.2, 0.2, 1e6), (0.3, 0.9, None), (0.9, 1.3, None)], [1.0, 2.0]))
 # windows without events
-@example(([StallEvent(0.1, 0.2), SwipeEvent(5.0, 1.0)], [0.0, 1.0, 2.0, 3.0, 4.0]))
+@example(([(0.1, 0.2, None), (5.0, 5.0, 1.0)], [0.0, 1.0, 2.0, 3.0, 4.0]))
 # a single action
-@example(([StallEvent(0.0, 0.4), SwipeEvent(0.7, 2.5e6)], [0.3]))
+@example(([(0.0, 0.4, None), (0.7, 0.7, 2.5e6)], [0.3]))
 def test_sweep_attribution_matches_rescan(log):
     events, issued = log
     assert attribute_windows(events, issued) == rescan(events, issued)
 
 
 def test_sweep_splits_a_stall_across_windows():
-    assert attribute_windows([StallEvent(0.5, 1.5)], [0.0, 1.0]) == [(0.0, 0.5), (0.0, 0.5)]
+    assert attribute_windows([(0.5, 1.5, None)], [0.0, 1.0]) == [(0.0, 0.5), (0.0, 0.5)]
 
 
 def test_sweep_matches_rescan_on_a_starved_session(monkeypatch):
@@ -305,11 +318,11 @@ def test_sweep_matches_rescan_on_a_starved_session(monkeypatch):
     # Starved: one stall event per 100 ms step dwarfs the action count.
     assert len(session.events) > 10 * len(m.actions)
     assert m.wasted_bits > 0.0
-    for rec, (w_bits, bt_s) in zip(m.actions, rescan(session.events, [a.issued_at_s for a in m.actions])):
-        assert (rec.waste_bits, rec.rebuffer_s) == (w_bits, bt_s)
-        assert rec.reward == compute_reward(
-            rec.delivered_s, rec.bitrate_mbps, w_bits, bt_s, rec.q_mbps, cfg.reward
-        )
+    a = m.actions
+    terms = rescan(session.events, a.issued_at_s)
+    assert list(zip(a.waste_bits, a.rebuffer_s)) == terms
+    for d, b, q, r, (w_bits, bt_s) in zip(a.delivered_s, a.bitrate_mbps, a.q_mbps, a.reward, terms):
+        assert r == compute_reward(d, b, w_bits, bt_s, q, cfg.reward)
     # One pass over the log, not one per action.
     assert len(scanned) == len(m.actions)
     assert sum(scanned) <= 2 * len(session.events)
@@ -363,16 +376,191 @@ def test_bandwidth_cursor_matches_trace_lookup(case):
         assert cursor.bandwidth_at(t) == _reference_bandwidth_at(trace, t)
 
 
-# --- fused step loop ----------------------------------------------------------------
+# --- the reference engine -------------------------------------------------------
+#
+# The engine as it was before its logs became plain values and its step loop
+# was fused: one frozen object per stall step, swipe and finished task, one
+# record per action, every value read and written through `self`, and each
+# action's reward terms a rescan of the whole event log. The tests below
+# compare the engine with it bit for bit.
 
 
-class _PerStepSession(sim._Session):
-    """The engine before its step loop was fused: `run`, `_transfer` and
-    `_play` as they were, every value read and written through `self`."""
+@dataclass(frozen=True)
+class StallEvent:
+    start_s: float
+    end_s: float
 
-    def _transfer(self, dt: float) -> None:
+
+@dataclass(frozen=True)
+class SwipeEvent:
+    time_s: float
+    wasted_bits: float
+
+
+@dataclass(frozen=True)
+class TaskSample:
+    throughput_mbps: float
+    rtt_ms: float
+
+
+@dataclass
+class DownloadTask:
+    video: VideoState
+    segment: RangeSegment
+    duration_s: float
+    bitrate_mbps: float
+    extent_bits: float
+    issued_at_s: float
+    rtt_s: float
+    rtt_remaining_s: float
+    delivered_bits: float = 0.0
+
+
+@dataclass
+class ActionRecord:
+    issued_at_s: float
+    video_index: int
+    duration_s: float
+    bitrate_mbps: float
+    q_mbps: float
+    delivered_s: float = 0.0
+    waste_bits: float = 0.0
+    rebuffer_s: float = 0.0
+    reward: float = 0.0
+    policy: PolicyExtras | None = None
+
+
+@dataclass
+class _Totals:
+    """`SessionMetrics` with its actions as a list of records."""
+
+    trace_id: str
+    total_rebuffer_s: float = 0.0
+    downloaded_bits: float = 0.0
+    watched_bits: float = 0.0
+    wasted_bits: float = 0.0
+    wall_time_s: float = 0.0
+    n_swipes: int = 0
+    actions: list[ActionRecord] = field(default_factory=list)
+
+
+def _object_attribute(events, start, end):
+    """`attribute_reward_terms` over event objects."""
+    w_bits = bt_s = 0.0
+    for ev in events:
+        if isinstance(ev, SwipeEvent):
+            if start <= ev.time_s < end:
+                w_bits += ev.wasted_bits
+        else:
+            overlap = min(ev.end_s, end) - max(ev.start_s, start)
+            if overlap > 0:
+                bt_s += overlap
+    return w_bits, bt_s
+
+
+def _fold_estimate_network(history, config):
+    """`estimate_network` over task samples, each mean a left fold from 0.0."""
+    recent = history[-config.throughput_window :] if config.throughput_window > 0 else []
+    if not recent:
+        return config.prior_throughput_mbps, config.prior_rtt_ms
+    q = functools.reduce(operator.add, (s.throughput_mbps for s in recent), 0.0)
+    rtt = functools.reduce(operator.add, (s.rtt_ms for s in recent), 0.0)
+    return q / len(recent), rtt / len(recent)
+
+
+class _PerStepSession:
+    """The reference engine, drawing first-byte latencies in blocks."""
+
+    def __init__(self, trace, playlist_source, retention, strategy, config, seed, user_id):
+        self.trace = trace
+        self.strategy = strategy
+        self.config = config
+        self.user_id = user_id
+        entropy = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
+        watch_ss, rtt_ss, action_ss = np.random.SeedSequence(entropy=entropy).spawn(3)
+        self.watch_rng = np.random.default_rng(watch_ss)
+        self.rtt_rng = np.random.default_rng(rtt_ss)
+        self.action_rng = np.random.default_rng(action_ss)
+        self.rtt_draws = []
+        self.retention = retention
+        self.playlist = Playlist(playlist_source, depth=config.queue_depth)
+        self.watch_times = {}
+        for v in self.playlist:
+            self._sample_watch(v)
+        self.metrics = _Totals(trace_id=trace.trace_id)
+        self.events = []
+        self.history = []
+        self.active = None
+        self.sleep_until = -math.inf
+        self.cancel_pending = False
+        self.t = 0.0
+
+    def _sample_watch(self, video):
+        self.watch_times[video.meta.video_id] = self.retention.sample(self.user_id, video, self.watch_rng)
+
+    def _draw_rtt_ms(self):
+        if not self.rtt_draws:
+            cfg = self.config
+            self.rtt_draws += reversed(self.rtt_rng.uniform(cfg.rtt_min_ms, cfg.rtt_max_ms, sim.RTT_BLOCK).tolist())
+        return self.rtt_draws.pop()
+
+    def _decide(self):
+        cfg = self.config
+        q, rtt_est = _fold_estimate_network(self.history, cfg)
+        decision = self.strategy.decide(self.playlist, q, rtt_est, cfg.b_max_s, self.action_rng)
+        if decision is None:
+            self.sleep_until = self.t + cfg.pause_ms / 1000.0
+            return
+        video = self.playlist[decision.index]
+        bitrate = abr_select(video.meta.bitrate_ladder, q, cfg.abr_safety)
+        headroom = cfg.b_max_s - video.buffer_ahead_s
+        duration = min(decision.duration_s, video.remaining_download_s, headroom)
+        if duration <= 0.0:
+            self.sleep_until = self.t + cfg.pause_ms / 1000.0
+            return
+        segment = RangeSegment(start_s=video.buffered_s, bitrate_mbps=bitrate)
+        video.segments.append(segment)
+        video.chosen_bitrate = bitrate
+        rtt_s = self._draw_rtt_ms() / 1000.0
+        self.active = DownloadTask(
+            video, segment, duration, bitrate, video.meta.range_bits(duration, bitrate), self.t, rtt_s, rtt_s
+        )
+        self.metrics.actions.append(ActionRecord(self.t, decision.index, duration, bitrate, q, policy=decision.extras))
+
+    def _complete_task(self, end_wall):
         task = self.active
-        assert task is not None
+        transfer_s = max(end_wall - task.issued_at_s - task.rtt_s, 1e-9)
+        self._record_sample(TaskSample(task.extent_bits / BITS_PER_MEGABIT / transfer_s, task.rtt_s * 1000.0))
+        self.metrics.actions[-1].delivered_s = task.duration_s
+        self.active = None
+
+    def _cancel_task(self, end_wall):
+        task = self.active
+        self.metrics.actions[-1].delivered_s = task.delivered_bits / (task.bitrate_mbps * BITS_PER_MEGABIT)
+        if task.delivered_bits > 0.0:
+            consumed_rtt = task.rtt_s - task.rtt_remaining_s
+            transfer_s = max(end_wall - task.issued_at_s - consumed_rtt, 1e-9)
+            self._record_sample(TaskSample(task.delivered_bits / BITS_PER_MEGABIT / transfer_s, task.rtt_s * 1000.0))
+        self.active = None
+
+    def _record_sample(self, sample):
+        self.history.append(sample)
+        if len(self.history) > self.config.throughput_window:
+            del self.history[0]
+
+    def _swipe_now(self, wall):
+        res = swipe(self.playlist, self.playlist.current.play_pos_s)
+        self.events.append(SwipeEvent(time_s=wall, wasted_bits=res.wasted_bits))
+        self.metrics.wasted_bits += res.wasted_bits
+        self.metrics.watched_bits += res.watched_bits
+        self.metrics.n_swipes += 1
+        for nv in res.added:
+            self._sample_watch(nv)
+        if self.active is not None:
+            self.cancel_pending = True
+
+    def _transfer(self, dt):
+        task = self.active
         span = dt
         if task.rtt_remaining_s > 0.0:
             used = min(task.rtt_remaining_s, span)
@@ -380,8 +568,7 @@ class _PerStepSession(sim._Session):
             span -= used
         if span <= 0.0:
             return
-        bw = self.bandwidth.bandwidth_at(self.t)
-        bits = bw * BITS_PER_MEGABIT * span
+        bits = self.trace.bandwidth_at(self.t) * BITS_PER_MEGABIT * span
         need = task.extent_bits - task.delivered_bits
         if bits >= need:
             take = need
@@ -395,7 +582,7 @@ class _PerStepSession(sim._Session):
         if task.delivered_bits >= task.extent_bits:
             self._complete_task(end_wall=self.t + dt)
 
-    def _play(self, dt: float) -> None:
+    def _play(self, dt):
         videos = self.playlist.videos
         remaining = dt
         while remaining > 1e-12 and videos:
@@ -411,12 +598,11 @@ class _PerStepSession(sim._Session):
                 v.play_pos_s = pos + step
                 remaining -= step
                 continue
-            start = self.t + dt - remaining
-            self.events.append(StallEvent(start_s=start, end_s=self.t + dt))
+            self.events.append(StallEvent(start_s=self.t + dt - remaining, end_s=self.t + dt))
             self.metrics.total_rebuffer_s += remaining
             remaining = 0.0
 
-    def run(self) -> sim.SessionMetrics:
+    def run(self):
         cfg = self.config
         dt = cfg.step_ms / 1000.0
         t_end = cfg.max_session_s - 1e-12
@@ -434,6 +620,70 @@ class _PerStepSession(sim._Session):
             self.t += dt
         self._finalize()
         return self.metrics
+
+    def _finalize(self):
+        if self.active is not None:
+            self._cancel_task(end_wall=self.t)
+        for v in self.playlist:
+            watched = v.watched_prefix_bits(v.play_pos_s)
+            self.metrics.watched_bits += watched
+            self.metrics.wasted_bits += v.delivered_bits() - watched
+        self.metrics.wall_time_s = self.t
+        actions = self.metrics.actions
+        ends = [rec.issued_at_s for rec in actions[1:]] + [math.inf]
+        for rec, end in zip(actions, ends):
+            rec.waste_bits, rec.rebuffer_s = _object_attribute(self.events, rec.issued_at_s, end)
+            rec.reward = compute_reward(
+                rec.delivered_s, rec.bitrate_mbps, rec.waste_bits, rec.rebuffer_s, rec.q_mbps, self.config.reward
+            )
+
+    def logs(self) -> dict:
+        """What `_logs` reads from the engine, in the engine's forms."""
+        m = self.metrics
+        return {
+            "metrics": [(f.name, getattr(m, f.name)) for f in dataclasses.fields(SessionMetrics) if f.name != "actions"],
+            "actions": [
+                (f.name, [getattr(rec, f.name) for rec in m.actions]) for f in dataclasses.fields(ActionLog)
+            ],
+            "events": [
+                (ev.time_s, ev.time_s, ev.wasted_bits) if isinstance(ev, SwipeEvent) else (ev.start_s, ev.end_s, None)
+                for ev in self.events
+            ],
+            "history": [(s.throughput_mbps, s.rtt_ms) for s in self.history],
+            "t": self.t,
+            "watch_times": self.watch_times,
+            "playlist": list(self.playlist),
+        }
+
+
+class _ScalarDrawSession(_PerStepSession):
+    """The reference engine as it was before latencies were drawn in blocks:
+    one `rtt_rng.uniform` call per issued task."""
+
+    def _draw_rtt_ms(self):
+        return float(self.rtt_rng.uniform(self.config.rtt_min_ms, self.config.rtt_max_ms))
+
+
+def _logs(session: sim._Session) -> dict:
+    m = session.metrics
+    return {
+        "metrics": [(f.name, getattr(m, f.name)) for f in dataclasses.fields(SessionMetrics) if f.name != "actions"],
+        "actions": [(f.name, getattr(m.actions, f.name)) for f in dataclasses.fields(ActionLog)],
+        "events": session.events,
+        "history": session.history,
+        "t": session.t,
+        "watch_times": session.watch_times,
+        "playlist": list(session.playlist),
+    }
+
+
+def _assert_sessions_match(got: sim._Session, want: _PerStepSession) -> None:
+    """Every metric, action column, event, task sample, watch time and
+    playlist entry of the engine equals the reference's, bit for bit."""
+    got_logs, want_logs = _logs(got), want.logs()
+    for key in got_logs:
+        assert _exact(got_logs[key]) == _exact(want_logs[key]), key
+    assert len(got.metrics.actions) == len(want.metrics.actions)
 
 
 def _exact(x):
@@ -527,93 +777,19 @@ def _build(case):
 def test_fused_step_loop_matches_the_per_step_engine(case):
     fused = sim._Session(*_build(case), "viewer")
     reference = _PerStepSession(*_build(case), "viewer")
-    got, want = fused.run(), reference.run()
-    for f in dataclasses.fields(sim.SessionMetrics):
-        if f.name != "actions":
-            assert _exact(getattr(got, f.name)) == _exact(getattr(want, f.name)), f.name
-    assert len(got.actions) == len(want.actions)
-    for i, (a, b) in enumerate(zip(got.actions, want.actions)):
-        assert _exact(a) == _exact(b), i
-    assert fused.events == reference.events
-    assert _exact(fused.events) == _exact(reference.events)
-    assert (fused.t, fused.history, fused.watch_times) == (reference.t, reference.history, reference.watch_times)
-    assert _exact(list(fused.playlist)) == _exact(list(reference.playlist))
+    fused.run(), reference.run()
+    _assert_sessions_match(fused, reference)
 
 
 @pytest.mark.parametrize("case_seed", range(12))
-def test_fused_step_loop_matches_on_random_sessions(monkeypatch, case_seed):
-    got = run_random_session(case_seed)
-    monkeypatch.setattr(sim, "_Session", _PerStepSession)
-    want = run_random_session(case_seed)
-    assert _exact(got) == _exact(want)
+def test_fused_step_loop_matches_on_random_sessions(case_seed):
+    fused = sim._Session(*random_session_inputs(case_seed), "viewer")
+    reference = _PerStepSession(*random_session_inputs(case_seed), "viewer")
+    fused.run(), reference.run()
+    _assert_sessions_match(fused, reference)
 
 
 # --- block-drawn latencies ------------------------------------------------------------
-
-
-class _ScalarDrawSession(sim._Session):
-    """The engine before its latencies were drawn in blocks: `_decide` as it
-    was, one `rtt_rng.uniform` call per issued task."""
-
-    def _decide(self) -> None:
-        cfg = self.config
-        q, rtt_est = _sum_estimate_network(self.history, cfg)
-        decision = self.strategy.decide(self.playlist, q, rtt_est, cfg.b_max_s, self.action_rng)
-        if decision is None:
-            self.sleep_until = self.t + cfg.pause_ms / 1000.0
-            return
-        video = self.playlist[decision.index]
-        bitrate = abr_select(video.meta.bitrate_ladder, q, cfg.abr_safety)
-        headroom = cfg.b_max_s - video.buffer_ahead_s
-        duration = min(decision.duration_s, video.remaining_download_s, headroom)
-        if duration <= 0.0:
-            self.sleep_until = self.t + cfg.pause_ms / 1000.0
-            return
-        segment = sim.RangeSegment(start_s=video.buffered_s, bitrate_mbps=bitrate)
-        video.segments.append(segment)
-        video.chosen_bitrate = bitrate
-        rtt_s = float(self.rtt_rng.uniform(cfg.rtt_min_ms, cfg.rtt_max_ms)) / 1000.0
-        self.active = sim.DownloadTask(
-            video=video,
-            segment=segment,
-            duration_s=duration,
-            bitrate_mbps=bitrate,
-            extent_bits=video.meta.range_bits(duration, bitrate),
-            issued_at_s=self.t,
-            rtt_s=rtt_s,
-            rtt_remaining_s=rtt_s,
-        )
-        self.metrics.actions.append(
-            sim.ActionRecord(
-                issued_at_s=self.t,
-                video_index=decision.index,
-                duration_s=duration,
-                bitrate_mbps=bitrate,
-                q_mbps=q,
-                policy=decision.extras,
-            )
-        )
-
-
-def _sum_estimate_network(history, config):
-    """`estimate_network` as it was, with one `sum` per estimate."""
-    recent = history[-config.throughput_window :] if config.throughput_window > 0 else []
-    if not recent:
-        return config.prior_throughput_mbps, config.prior_rtt_ms
-    q = sum(s.throughput_mbps for s in recent) / len(recent)
-    rtt = sum(s.rtt_ms for s in recent) / len(recent)
-    return q, rtt
-
-
-def _assert_sessions_match(got: sim._Session, want: sim._Session) -> None:
-    for f in dataclasses.fields(sim.SessionMetrics):
-        if f.name != "actions":
-            assert _exact(getattr(got.metrics, f.name)) == _exact(getattr(want.metrics, f.name)), f.name
-    assert len(got.metrics.actions) == len(want.metrics.actions)
-    for i, (a, b) in enumerate(zip(got.metrics.actions, want.metrics.actions)):
-        assert _exact(a) == _exact(b), i
-    assert _exact(got.events) == _exact(want.events)
-    assert _exact(got.history) == _exact(want.history)
 
 
 @settings(max_examples=300, deadline=None)
@@ -649,7 +825,29 @@ def test_block_drawn_latencies_match_across_blocks(kind, rtt):
     window=st.integers(0, 6),
 )
 def test_one_loop_estimate_matches_the_sums(samples, window):
-    history = [TaskSample(q, rtt) for q, rtt in samples]
     cfg = SimConfig(throughput_window=window)
-    got, want = estimate_network(history, cfg), _sum_estimate_network(history, cfg)
+    got = estimate_network(samples, cfg)
+    want = _fold_estimate_network([TaskSample(q, rtt) for q, rtt in samples], cfg)
     assert [x.hex() for x in got] == [x.hex() for x in want]
+
+
+# --- sums that do not depend on the interpreter ----------------------------------------
+
+
+def test_session_sums_are_plain_left_to_right_folds():
+    """Python 3.12's `sum` of floats compensates its rounding; these sums
+    must give the bytes of a plain fold from 0.0 on every version."""
+    rewards = [1e16, 1.0, -1e16]
+    assert math.fsum(rewards) == 1.0
+    assert SessionMetrics("t", actions=ActionLog(reward=rewards)).qoe == 0.0
+
+    video = make_video(duration_s=10.0)
+    for start, rate, bits in ((0.0, 1e10, 1e16), (1.0, 0.7, 0.7), (2.0, 0.7, 0.7)):
+        video.segments.append(RangeSegment(start_s=start, bitrate_mbps=rate, delivered_bits=bits))
+    for got, parts in (
+        (video.delivered_bits(), [seg.delivered_bits for seg in video.segments]),
+        (video.watched_prefix_bits(5.0), [seg.watched_bits(5.0) for seg in video.segments]),
+    ):
+        fold = functools.reduce(operator.add, parts, 0.0)
+        assert math.fsum(parts) != fold
+        assert got == fold
