@@ -1,8 +1,9 @@
 """Trace-driven simulator for short-video preloading strategies.
 
-Watch-time estimation (three-parameter Weibull with per-dimension fusion),
-demand-based video selection, a learned continuous range policy trained with
-PPO, fixed baselines, and an experiment harness with deterministic reports.
+Watch-time estimation (three-parameter Weibull fits per video, with a
+duration-bucket fallback), demand-based video selection, a learned
+continuous range policy trained with PPO, fixed baselines, and an experiment
+harness with deterministic reports.
 """
 
 import os
@@ -75,7 +76,6 @@ from .watchtime import (
     WeibullParams,
     build_param_table,
     fit_weibull_lse,
-    fuse_params,
     sample_weibull,
     weibull_cdf,
     weibull_pdf,

@@ -1,6 +1,6 @@
 """Command-line entry points.
 
-    swipesim gen-synthetic --out DIR [--seed N] [--traces N] [--videos N] [--users N]
+    swipesim gen-synthetic --out DIR [--seed N] [--traces N] [--videos N]
     swipesim fit --config FILE [--out PATH]
     swipesim train --config FILE [--variant deload|deload_no_wte] [--seed N] [--out PATH]
     swipesim simulate --config FILE --out DIR [--seed N] [--jobs N]
@@ -57,7 +57,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--traces", type=int, default=None, help="number of network traces")
     p.add_argument("--videos", type=int, default=None, help="catalog size")
-    p.add_argument("--users", type=int, default=None, help="number of synthetic viewers")
     p.set_defaults(func=cmd_gen_synthetic)
 
     p = sub.add_parser("fit", help="fit watch-time distributions from watch records")
@@ -118,8 +117,6 @@ def cmd_gen_synthetic(args) -> int:
         overrides["n_traces"] = args.traces
     if args.videos is not None:
         overrides["n_videos"] = args.videos
-    if args.users is not None:
-        overrides["n_users"] = args.users
     if overrides:
         spec = dataclasses.replace(spec, **overrides)
     manifest = write_suite(spec, args.out, seed=args.seed)
@@ -143,8 +140,8 @@ def cmd_fit(args) -> int:
     Path(out).parent.mkdir(parents=True, exist_ok=True)
     table.save(out)
     print(
-        f"fitted {len(table.video)} video, {len(table.user)} user, "
-        f"{len(table.ladder)} duration-bucket groups from {len(records)} records"
+        f"fitted {len(table.video)} video and {len(table.ladder)} duration-bucket groups "
+        f"from {len(records)} records"
     )
     for dim, counter in table.failures.items():
         for reason, n in sorted(counter.items()):
@@ -180,11 +177,12 @@ def cmd_train(args) -> int:
     write_learning_curve(logs, curve_path)
 
     n = len(logs)
-    head = max(1, n // 10)
-    first = sum(l.mean_reward for l in logs[:head]) / head
-    last = sum(l.mean_reward for l in logs[-head:]) / head
     print(f"trained {args.variant} for {n} episodes (seed {seed})")
-    print(f"episode reward: first {head} mean {first:.3f}, last {head} mean {last:.3f}")
+    if n:
+        head = max(1, n // 10)
+        first = sum(l.mean_reward for l in logs[:head]) / head
+        last = sum(l.mean_reward for l in logs[-head:]) / head
+        print(f"episode reward: first {head} mean {first:.3f}, last {head} mean {last:.3f}")
     print(f"wrote {out_path} and {curve_path}")
     return 0
 

@@ -174,7 +174,8 @@ def check_issue_floor(cfg: AppConfig, strategies: tuple[str, ...]) -> None:
     Demand selection only picks a video with room for a task of at least
     `MIN_ISSUE_S` (`deload_<seconds>s`) or `policy.range_min_s` (learned
     strategies) below B_max; at or below that floor a session never
-    downloads and stalls until `max_session_s`.
+    downloads and stalls until `max_session_s`. `harness.build_strategies`
+    checks each loaded checkpoint's own `range_min_s` as well.
     """
     for name in strategies:
         if name in LEARNED_STRATEGIES:

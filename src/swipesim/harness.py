@@ -158,8 +158,8 @@ def load_retention(path) -> RetentionSource:
 
     The header line discriminates: watch records
     (user_id,video_id,duration_s,watch_time_s) become empirical pools per
-    video; parameter rows (video_id,beta,eta,gamma) become per-video
-    distributions.
+    video, with `user_id` read and not used; parameter rows
+    (video_id,beta,eta,gamma) become per-video distributions.
     """
     with _open_data(path) as fh:
         header = fh.readline().strip()
@@ -312,12 +312,12 @@ def make_playlist_source(
     table: ParamTable | None,
     n_videos: int,
     rng: np.random.Generator,
-    user_id: str | None,
 ):
     """Iterator of fresh VideoStates for one session.
 
     Samples without replacement from the catalog (all of it if smaller) and
-    attaches fused watch-time parameters when a table is present.
+    attaches each video's watch-time estimate (`ParamTable.fused`) when a
+    table is present.
     """
     n = min(n_videos, len(catalog))
     order = rng.choice(len(catalog), size=n, replace=False)
@@ -326,7 +326,7 @@ def make_playlist_source(
         params = None
         if table is not None:
             try:
-                params = table.fused(user_id, meta.video_id, meta.duration_s)
+                params = table.fused(meta.video_id, meta.duration_s)
             except LadderMissingError as err:
                 raise DataError(str(err))
         yield VideoState(meta=meta, watch_params=params)
@@ -346,10 +346,9 @@ def simulate_one(
     `key` is (seed, trace index) in evaluation and (seed, episode) in
     training.
     """
-    user_id = f"viewer-{key[-1]}"
     playlist_rng = np.random.default_rng(np.random.SeedSequence(entropy=(*key, 11)))
-    source = make_playlist_source(catalog, table, sim_cfg.videos_per_session, playlist_rng, user_id)
-    return run_session(trace, source, retention, strategy, sim_cfg, seed=(*key, 13), user_id=user_id)
+    source = make_playlist_source(catalog, table, sim_cfg.videos_per_session, playlist_rng)
+    return run_session(trace, source, retention, strategy, sim_cfg, seed=(*key, 13))
 
 
 def _worker(args) -> RunRecord:
@@ -361,17 +360,24 @@ def build_strategies(spec: ExperimentSpec) -> list[Strategy]:
     """Resolve strategy names, loading checkpoints where needed.
 
     Fails fast (ConfigError) before any simulation when a learned strategy
-    lacks its checkpoint or a strategy on fitted survival lacks the
-    parameter table.
+    lacks its checkpoint, when `sim.b_max_s` is not above the `range_min_s`
+    its checkpoint was trained with (no video would ever have room for a
+    task), or when a strategy on fitted survival lacks the parameter table.
     """
     strategies: list[Strategy] = []
     for name in spec.strategies:
         net = None
         if name in LEARNED_STRATEGIES:
             key = "checkpoint_path" if includes_watch_estimates(name) else "no_wte_checkpoint_path"
-            if not getattr(spec, key):
+            path = getattr(spec, key)
+            if not path:
                 raise ConfigError(f"strategy {name!r} needs {key}")
-            net = _load_net(getattr(spec, key))
+            net = _load_net(path)
+            if spec.sim.b_max_s <= net.cfg.range_min_s:
+                raise ConfigError(
+                    f"sim.b_max_s: {spec.sim.b_max_s} is not above range_min_s ({net.cfg.range_min_s}) "
+                    f"of checkpoint {path}; strategy {name!r} would never download"
+                )
         try:
             strategies.append(baseline_policy(name, net))
         except ValueError as err:

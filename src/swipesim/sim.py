@@ -142,30 +142,29 @@ class SessionMetrics:
 class RetentionSource:
     """Watch-time source: empirical samples and/or per-video distributions.
 
-    Sampling prefers empirical records for the video, then fitted/true
-    parameters, then the configured default distribution. Draws are capped
-    at the video duration.
+    Sampling prefers empirical records for the video, then its
+    parameters; a video with neither raises KeyError. Every viewer of a
+    video draws from the same source. Draws are capped at the video
+    duration.
     """
 
     def __init__(
         self,
         empirical: dict[str, Sequence[float]] | None = None,
         params: dict[str, WeibullParams] | None = None,
-        default: WeibullParams | None = None,
     ):
         self.empirical = {k: np.asarray(v, dtype=np.float64) for k, v in (empirical or {}).items()}
         self.params = dict(params or {})
-        self.default = default
 
-    def sample(self, user_id: str, video: VideoState, rng: np.random.Generator) -> float:
+    def sample(self, video: VideoState, rng: np.random.Generator) -> float:
         vid = video.meta.video_id
         pool = self.empirical.get(vid)
         if pool is not None and pool.size:
             draw = float(pool[int(rng.integers(pool.size))])
         else:
-            p = self.params.get(vid, self.default)
+            p = self.params.get(vid)
             if p is None:
-                raise KeyError(f"no retention data for video {vid!r} and no default distribution")
+                raise KeyError(f"no retention data for video {vid!r}")
             draw = weibull_quantile(p, float(rng.random()))
         return float(min(max(draw, 0.0), video.meta.duration_s))
 
@@ -269,13 +268,11 @@ class _Session:
         strategy: Strategy,
         config: SimConfig,
         seed,
-        user_id: str,
     ):
         self.trace = trace
         self.bandwidth = BandwidthCursor(trace)
         self.strategy = strategy
         self.config = config
-        self.user_id = user_id
         ss = np.random.SeedSequence(entropy=list(_entropy(seed)))
         watch_ss, rtt_ss, action_ss = ss.spawn(3)
         self.watch_rng = np.random.default_rng(watch_ss)
@@ -298,9 +295,7 @@ class _Session:
         self.t = 0.0
 
     def _sample_watch(self, video: VideoState) -> None:
-        self.watch_times[video.meta.video_id] = self.retention.sample(
-            self.user_id, video, self.watch_rng
-        )
+        self.watch_times[video.meta.video_id] = self.retention.sample(video, self.watch_rng)
 
     # -- download side ---------------------------------------------------
 
@@ -497,7 +492,6 @@ def run_session(
     strategy: Strategy,
     config: SimConfig,
     seed,
-    user_id: str = "viewer",
 ) -> SessionMetrics:
     """Simulate one viewing session; deterministic in (inputs, seed).
 
@@ -506,4 +500,4 @@ def run_session(
     are drawn from a stream keyed only by `seed`, so different strategies
     replayed with the same seed face the same viewer.
     """
-    return _Session(trace, playlist_source, retention, strategy, config, seed, user_id).run()
+    return _Session(trace, playlist_source, retention, strategy, config, seed).run()

@@ -43,6 +43,8 @@ class SyntheticSpec:
     scale_frac_hi: float = 0.55
     location_lo_s: float = 0.3
     location_hi_s: float = 1.2
+    # Only the unread `user_id` column uses this; its draw stays so that
+    # watch_records.csv and every fitted value keep their bytes.
     n_users: int = 120
     records_per_video: int = 260
 

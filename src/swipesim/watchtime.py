@@ -2,9 +2,8 @@
 
 Three-parameter Weibull machinery (pdf, survival, quantile, sampling), a
 least-squares fitter built on median-rank regression with a location search,
-grouped fitting into a multi-dimensional parameter table, and the fusion rule
-that combines per-video and per-user estimates with a duration-bucket
-fallback.
+grouped fitting into a parameter table keyed by video and by duration
+bucket, and the lookup that serves a video's fit, else its bucket's.
 """
 
 from __future__ import annotations
@@ -240,40 +239,6 @@ def fit_weibull_lse(
     return WeibullFit(WeibullParams(shape, scale, gamma), r_squared=r2, n_samples=n)
 
 
-@dataclass(frozen=True)
-class DimensionalEstimates:
-    """Per-dimension parameter estimates feeding the fusion rule.
-
-    The duration-bucket estimate must exist; video and user estimates are
-    optional and missing when the table had no (or not enough) history for
-    the key.
-    """
-
-    video_dim: WeibullParams | None
-    user_dim: WeibullParams | None
-    ladder_dim: WeibullParams
-
-
-def fuse_params(est: DimensionalEstimates) -> WeibullParams:
-    """Combine dimensions component-wise on (shape, scale, location).
-
-    Both video and user present: average them. Exactly one present: take it.
-    Neither: fall back to the duration-bucket estimate.
-    """
-    v, u = est.video_dim, est.user_dim
-    if v is None and u is None:
-        return est.ladder_dim
-    if u is None:
-        return v  # type: ignore[return-value]
-    if v is None:
-        return u
-    return WeibullParams(
-        shape=(v.shape + u.shape) / 2.0,
-        scale=(v.scale + u.scale) / 2.0,
-        location=(v.location + u.location) / 2.0,
-    )
-
-
 class LadderMissingError(RuntimeError):
     """No duration-bucket fit exists for a requested duration: the table
     cannot serve estimates for that video at all."""
@@ -291,15 +256,21 @@ def bucket_for(duration_s: float, edges: tuple[float, ...] = DEFAULT_BUCKET_EDGE
 
 @dataclass
 class ParamTable:
-    """Fitted watch-time distributions keyed by video, user, and duration bucket."""
+    """Fitted watch-time distributions keyed by video and by duration bucket."""
 
     video: dict[str, WeibullFit] = field(default_factory=dict)
-    user: dict[str, WeibullFit] = field(default_factory=dict)
     ladder: dict[tuple[float, float], WeibullFit] = field(default_factory=dict)
     failures: dict[str, Counter] = field(default_factory=dict)
     bucket_edges: tuple[float, ...] = DEFAULT_BUCKET_EDGES
 
-    def lookup(self, user_id: str | None, video_id: str, duration_s: float) -> DimensionalEstimates:
+    def fused(self, video_id: str, duration_s: float) -> WeibullParams:
+        """The video's fit if there is one, else its duration bucket's.
+
+        Raises LadderMissingError when the bucket has no fit, whether or not
+        the video has one: such a table cannot serve that duration. (The
+        name predates the lookup's single path; the benchmark's tracer in
+        `benchmark/swbench` patches it by this name.)
+        """
         bucket = bucket_for(duration_s, self.bucket_edges)
         ladder_fit = self.ladder.get(bucket)
         if ladder_fit is None:
@@ -307,15 +278,7 @@ class ParamTable:
                 f"no duration-bucket fit for bucket {bucket} (duration {duration_s}s)"
             )
         video_fit = self.video.get(video_id)
-        user_fit = self.user.get(user_id) if user_id is not None else None
-        return DimensionalEstimates(
-            video_dim=video_fit.params if video_fit else None,
-            user_dim=user_fit.params if user_fit else None,
-            ladder_dim=ladder_fit.params,
-        )
-
-    def fused(self, user_id: str | None, video_id: str, duration_s: float) -> WeibullParams:
-        return fuse_params(self.lookup(user_id, video_id, duration_s))
+        return (video_fit or ladder_fit).params
 
     def save(self, path) -> None:
         """Write line-delimited records `dim,key,beta,eta,gamma,n_samples,r2`."""
@@ -323,9 +286,6 @@ class ParamTable:
         for vid in sorted(self.video):
             fit = self.video[vid]
             lines.append(_record_line("video", vid, fit))
-        for uid in sorted(self.user):
-            fit = self.user[uid]
-            lines.append(_record_line("user", uid, fit))
         for bucket in sorted(self.ladder):
             fit = self.ladder[bucket]
             # 17 significant digits round-trip every float exactly and
@@ -363,8 +323,6 @@ class ParamTable:
                     )
                     if dim == "video":
                         table.video[key] = fit
-                    elif dim == "user":
-                        table.user[key] = fit
                     elif dim == "ladder":
                         lo, _, hi = key.partition("-")
                         table.ladder[(float(lo), float(hi))] = fit
@@ -387,33 +345,26 @@ def build_param_table(
     records: Iterable[WatchRecord],
     config: FitConfig = FitConfig(),
 ) -> ParamTable:
-    """Fit watch-time distributions grouped by video, user, and duration bucket.
+    """Fit watch-time distributions grouped by video and by duration bucket.
 
-    Groups that fail to fit are omitted (the fusion rule falls back across
-    dimensions); failure reasons are tallied per dimension in
+    Groups that fail to fit are omitted (`ParamTable.fused` falls back from
+    a video to its bucket); failure reasons are tallied per dimension in
     `ParamTable.failures`.
     """
     by_video: dict[str, list[float]] = defaultdict(list)
-    by_user: dict[str, list[float]] = defaultdict(list)
     by_bucket: dict[tuple[float, float], list[float]] = defaultdict(list)
     for rec in records:
         by_video[rec.video_id].append(rec.watch_time_s)
-        by_user[rec.user_id].append(rec.watch_time_s)
         by_bucket[bucket_for(rec.duration_s, config.bucket_edges)].append(rec.watch_time_s)
 
     table = ParamTable(bucket_edges=config.bucket_edges)
-    table.failures = {"video": Counter(), "user": Counter(), "ladder": Counter()}
+    table.failures = {"video": Counter(), "ladder": Counter()}
 
     for vid, samples in by_video.items():
         try:
             table.video[vid] = fit_weibull_lse(samples, config=config)
         except FitError as err:
             table.failures["video"][err.reason] += 1
-    for uid, samples in by_user.items():
-        try:
-            table.user[uid] = fit_weibull_lse(samples, config=config)
-        except FitError as err:
-            table.failures["user"][err.reason] += 1
     for bucket, samples in by_bucket.items():
         try:
             table.ladder[bucket] = fit_weibull_lse(samples, config=config)

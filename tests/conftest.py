@@ -47,8 +47,7 @@ def run_random_session(case_seed: int):
 
 
 def random_session_inputs(case_seed: int) -> tuple:
-    """Fresh `run_session` arguments of one randomized session, without
-    `user_id`.
+    """Fresh `run_session` arguments of one randomized session.
 
     Cases vary catalog, retention, trace shape, strategy, and sim constants;
     a quarter of them hit the wall-clock cap so the end-of-session residual

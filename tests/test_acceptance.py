@@ -30,11 +30,12 @@ from swipesim.ppo import TrainConfig, actor_loss_and_grads, compute_reward, crit
 from swipesim.sim import SimConfig
 from swipesim.synthetic import SyntheticSpec, write_suite
 from swipesim.watchtime import (
-    DimensionalEstimates,
+    LadderMissingError,
+    ParamTable,
+    WeibullFit,
     WeibullParams,
     build_param_table,
     fit_weibull_lse,
-    fuse_params,
     sample_weibull,
     weibull_cdf,
     weibull_quantile,
@@ -117,17 +118,17 @@ def test_criterion_2_demands_match_monte_carlo():
 
 
 def test_criterion_3_fusion_branches_bit_exact():
+    """`ParamTable.fused`: the video's own fit, else its duration bucket's;
+    a bucket with no fit raises even for a video that has one."""
     v = WeibullParams(2.0, 6.0, 1.0)
-    u = WeibullParams(1.0, 4.0, 0.0)
     g = WeibullParams(0.9, 3.0, 0.2)
-    both = fuse_params(DimensionalEstimates(v, u, g))
-    ok = (
-        both == WeibullParams((2.0 + 1.0) / 2.0, (6.0 + 4.0) / 2.0, (1.0 + 0.0) / 2.0)
-        and fuse_params(DimensionalEstimates(v, None, g)) == v
-        and fuse_params(DimensionalEstimates(None, u, g)) == u
-        and fuse_params(DimensionalEstimates(None, None, g)) == g
-    )
-    check(3, "fusion branches", ok, f"averaged {both}, single-dim and fallback branches exact")
+    table = ParamTable()
+    table.video["v"] = WeibullFit(v, r_squared=0.9, n_samples=100)
+    table.ladder[(30.0, 60.0)] = WeibullFit(g, r_squared=0.9, n_samples=500)
+    with pytest.raises(LadderMissingError):
+        table.fused("v", 200.0)
+    ok = table.fused("v", 45.0) == v and table.fused("unfitted", 45.0) == g
+    check(3, "lookup branches", ok, "video fit, bucket fallback and unfitted bucket exact")
 
 
 def test_criterion_4_closed_forms():

@@ -444,7 +444,7 @@ paths:
 def pipeline(tmp_path_factory):
     root = tmp_path_factory.mktemp("suite")
     rc = cli_main(["gen-synthetic", "--out", str(root), "--seed", "3",
-                   "--traces", "6", "--videos", "8", "--users", "10"])
+                   "--traces", "6", "--videos", "8"])
     assert rc == 0
     cfg = root / "tiny.yaml"
     cfg.write_text(TINY_CONFIG)
@@ -647,6 +647,41 @@ def test_cli_rejects_b_max_at_or_below_the_issue_floor(pipeline, tmp_path, capsy
     assert not out.exists()
 
 
+def test_cli_rejects_b_max_at_or_below_the_checkpoints_floor(pipeline, tmp_path, capsys):
+    """Evaluation runs the checkpoint's `range_min_s`, whatever the config's
+    policy section says."""
+    ckpt = tmp_path / "no_wte.ckpt"
+    path = _suite_config(pipeline, tmp_path, strategies=["deload_no_wte"], no_wte_checkpoint=ckpt)
+    doc = yaml.safe_load(path.read_text())
+    doc["train"]["episodes"] = 0
+    doc["policy"] = {"range_min_s": 1.0}
+    path.write_text(yaml.safe_dump(doc))
+    assert cli_main(["train", "--config", str(path), "--variant", "deload_no_wte"]) == 0
+    del doc["policy"]
+    doc["sim"].update(b_max_s=0.8, max_session_s=60.0)
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "run"
+    capsys.readouterr()
+    assert cli_main(["simulate", "--config", str(path), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: sim.b_max_s") and str(ckpt) in err
+    assert not out.exists()
+
+
+def test_cli_train_without_episodes_reports_no_reward(pipeline, tmp_path, capsys):
+    path = _suite_config(pipeline, tmp_path)
+    doc = yaml.safe_load(path.read_text())
+    doc["train"]["episodes"] = 0
+    path.write_text(yaml.safe_dump(doc))
+    out = tmp_path / "deload.ckpt"
+    capsys.readouterr()
+    assert cli_main(["train", "--config", str(path), "--out", str(out)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "trained deload for 0 episodes (seed 3)"
+    assert not any(line.startswith("episode reward") for line in lines)
+    assert out.exists() and (tmp_path / "deload_curve.csv").exists()
+
+
 def test_cli_naive_alone_runs_below_the_issue_floor(pipeline, tmp_path):
     """Order-based selection has no floor: it downloads at any positive B_max."""
     path = _suite_config(pipeline, tmp_path, strategies=["naive_1s"])
@@ -690,6 +725,8 @@ def _corrupt_checkpoint(root, tmp_path):
         ("simulate", "videos", (b"video_id,duration_s,ladder_mbps\n\xff\xfe,1,1\n", None)),
         ("simulate", "param_table", (b"video,v0,1.0,2.0,0.0,10,0.9\n\xff\n", None)),
         ("simulate", "checkpoint", (b"rangenet-v1\n\xff\n", None)),
+        # A stale table with `user` rows: re-run `fit`.
+        ("simulate", "param_table", ("video,v0,1.0,2.0,0.0,10,0.9\nuser,u0000,1.0,2.0,0.0,40,0.9\n", 2)),
     ],
 )
 def test_cli_bad_input_files_exit_2_naming_them(pipeline, tmp_path, capsys, command, key, content):
@@ -724,7 +761,7 @@ def test_installed_entry_point(tmp_path):
     assert bad.returncode == 1
     out = subprocess.run(
         [exe, "gen-synthetic", "--out", str(tmp_path / "s"), "--traces", "2",
-         "--videos", "2", "--users", "3"],
+         "--videos", "2"],
         capture_output=True, text=True,
     )
     assert out.returncode == 0, out.stderr

@@ -659,7 +659,7 @@ def test_nan_critic_weight_raises_in_update_and_training(monkeypatch):
 
     monkeypatch.setattr(MlpNet, "create", staticmethod(nan_critic))
     catalog = [VideoMeta(f"m{i}", 8.0 + 3.0 * i, (0.5, 1.5)) for i in range(4)]
-    retention = RetentionSource(default=WeibullParams(1.2, 3.0, 0.3))
+    retention = RetentionSource(params={m.video_id: WeibullParams(1.2, 3.0, 0.3) for m in catalog})
     with pytest.raises(FloatingPointError, match="critic value"):
         harness.train_policy(
             [flat_trace(1.2)], catalog, retention, None,

@@ -289,7 +289,7 @@ def _mini_session_factory(strategy, trace, ep_seed):
     rng = np.random.default_rng(np.random.SeedSequence(entropy=(*entropy, 1)))
     metas = [VideoMeta(f"m{i}", 5.0 + 2.0 * i, (0.5, 1.5)) for i in range(4)]
     videos = (VideoState(meta=metas[int(i)]) for i in rng.permutation(4))
-    retention = RetentionSource(default=WeibullParams(1.2, 3.0, 0.3))
+    retention = RetentionSource(params={m.video_id: WeibullParams(1.2, 3.0, 0.3) for m in metas})
     cfg = SimConfig(videos_per_session=4, max_session_s=120.0)
     return run_session(trace, videos, retention, strategy, cfg, seed=(*entropy, 2))
 
@@ -438,7 +438,7 @@ def test_train_policy_matches_rollout_critic_reference(monkeypatch, use_gae):
 
     traces = [flat_trace(0.8, "t0"), flat_trace(2.5, "t1"), flat_trace(6.0, "t2")]
     catalog = [VideoMeta(f"m{i}", 6.0 + 4.0 * i, (0.5, 1.5, 3.0)) for i in range(6)]
-    retention = RetentionSource(default=WeibullParams(1.2, 6.0, 0.3))
+    retention = RetentionSource(params={m.video_id: WeibullParams(1.2, 6.0, 0.3) for m in catalog})
     args = (
         traces, catalog, retention, None,
         PolicyConfig(include_watch_estimates=False),

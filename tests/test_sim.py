@@ -167,37 +167,37 @@ def test_retention_empirical_capped_at_duration():
     video = make_video(duration_s=30.0)
     src = RetentionSource(empirical={"v0": [100.0]})
     rng = np.random.default_rng(0)
-    assert src.sample("u", video, rng) == 30.0
+    assert src.sample(video, rng) == 30.0
     floor = RetentionSource(empirical={"v0": [-5.0]})
-    assert floor.sample("u", video, rng) == 0.0
+    assert floor.sample(video, rng) == 0.0
 
 
 def test_retention_parametric_mean():
     video = make_video(duration_s=1e9)
     src = RetentionSource(params={"v0": WeibullParams(1.0, 5.0, 0.0)})
     rng = np.random.default_rng(3)
-    draws = [src.sample("u", video, rng) for _ in range(20000)]
+    draws = [src.sample(video, rng) for _ in range(20000)]
     assert np.mean(draws) == pytest.approx(5.0, abs=0.2)
 
 
 def test_retention_seed_reproducible():
     video = make_video(duration_s=100.0)
     src = RetentionSource(params={"v0": WeibullParams(1.3, 6.0, 0.5)})
-    a = src.sample("u", video, np.random.default_rng(42))
-    b = src.sample("u", video, np.random.default_rng(42))
+    a = src.sample(video, np.random.default_rng(42))
+    b = src.sample(video, np.random.default_rng(42))
     assert a == b
 
 
 def test_retention_fallback_order():
     video = make_video(duration_s=50.0)
     with pytest.raises(KeyError):
-        RetentionSource().sample("u", video, np.random.default_rng(0))
-    src = RetentionSource(default=WeibullParams(1.0, 5.0, 0.0))
-    d = src.sample("u", video, np.random.default_rng(0))
-    assert 0.0 <= d <= 50.0
+        RetentionSource().sample(video, np.random.default_rng(0))
+    # a video with no records and no parameters raises, even if others have them
+    with pytest.raises(KeyError):
+        RetentionSource(params={"other": WeibullParams(1, 1, 0)}).sample(video, np.random.default_rng(0))
     # empirical wins over params for the same video
     both = RetentionSource(empirical={"v0": [7.0]}, params={"v0": WeibullParams(1, 1, 0)})
-    assert both.sample("u", video, np.random.default_rng(0)) == 7.0
+    assert both.sample(video, np.random.default_rng(0)) == 7.0
 
 
 # --- accounting ----------------------------------------------------------------
@@ -312,7 +312,7 @@ def test_sweep_matches_rescan_on_a_starved_session(monkeypatch):
     cfg = SimConfig(videos_per_session=4)
     session = sim._Session(
         flat_trace(0.3), iter(VideoState(meta=m) for m in metas), retention,
-        FixedRangeStrategy("deload_5s", 5.0, survival=uniform_survival), cfg, 0, "viewer",
+        FixedRangeStrategy("deload_5s", 5.0, survival=uniform_survival), cfg, 0,
     )
     m = session.run()
     # Starved: one stall event per 100 ms step dwarfs the action count.
@@ -471,11 +471,10 @@ def _fold_estimate_network(history, config):
 class _PerStepSession:
     """The reference engine, drawing first-byte latencies in blocks."""
 
-    def __init__(self, trace, playlist_source, retention, strategy, config, seed, user_id):
+    def __init__(self, trace, playlist_source, retention, strategy, config, seed):
         self.trace = trace
         self.strategy = strategy
         self.config = config
-        self.user_id = user_id
         entropy = [int(seed)] if isinstance(seed, (int, np.integer)) else [int(s) for s in seed]
         watch_ss, rtt_ss, action_ss = np.random.SeedSequence(entropy=entropy).spawn(3)
         self.watch_rng = np.random.default_rng(watch_ss)
@@ -496,7 +495,7 @@ class _PerStepSession:
         self.t = 0.0
 
     def _sample_watch(self, video):
-        self.watch_times[video.meta.video_id] = self.retention.sample(self.user_id, video, self.watch_rng)
+        self.watch_times[video.meta.video_id] = self.retention.sample(video, self.watch_rng)
 
     def _draw_rtt_ms(self):
         if not self.rtt_draws:
@@ -775,16 +774,16 @@ def _build(case):
 @example(([("v0", 5.0, (1.0, 2.0), 0.0, (1.0, 5.0, 0.0)), ("v1", 5.0, (1.0,), 9.0, (1.0, 5.0, 0.0))],
           [(0, 0.4)], dict(videos_per_session=2, max_session_s=4.0, throughput_window=0), "fixed", 3.0, 7))
 def test_fused_step_loop_matches_the_per_step_engine(case):
-    fused = sim._Session(*_build(case), "viewer")
-    reference = _PerStepSession(*_build(case), "viewer")
+    fused = sim._Session(*_build(case))
+    reference = _PerStepSession(*_build(case))
     fused.run(), reference.run()
     _assert_sessions_match(fused, reference)
 
 
 @pytest.mark.parametrize("case_seed", range(12))
 def test_fused_step_loop_matches_on_random_sessions(case_seed):
-    fused = sim._Session(*random_session_inputs(case_seed), "viewer")
-    reference = _PerStepSession(*random_session_inputs(case_seed), "viewer")
+    fused = sim._Session(*random_session_inputs(case_seed))
+    reference = _PerStepSession(*random_session_inputs(case_seed))
     fused.run(), reference.run()
     _assert_sessions_match(fused, reference)
 
@@ -799,8 +798,8 @@ def test_fused_step_loop_matches_on_random_sessions(case_seed):
           [(0, 2.0), (700, 0.3)], dict(rtt_min_ms=80.0, rtt_max_ms=80.0, videos_per_session=2),
           "learned", 1.0, 5))
 def test_block_drawn_latencies_match_one_draw_per_task(case):
-    got = sim._Session(*_build(case), "viewer")
-    want = _ScalarDrawSession(*_build(case), "viewer")
+    got = sim._Session(*_build(case))
+    want = _ScalarDrawSession(*_build(case))
     got.run(), want.run()
     _assert_sessions_match(got, want)
 
@@ -812,8 +811,8 @@ def test_block_drawn_latencies_match_across_blocks(kind, rtt):
     videos = [(f"v{i}", 20.0, (0.5, 1.0), 20.0, (1.5, 10.0, 0.0)) for i in range(30)]
     case = (videos, [(0, 1.5), (900, 4.0)], dict(rtt_min_ms=rtt[0], rtt_max_ms=rtt[1], videos_per_session=30),
             kind, 0.3, 11)
-    got = sim._Session(*_build(case), "viewer")
-    want = _ScalarDrawSession(*_build(case), "viewer")
+    got = sim._Session(*_build(case))
+    want = _ScalarDrawSession(*_build(case))
     got.run(), want.run()
     assert len(got.metrics.actions) > 3 * sim.RTT_BLOCK
     _assert_sessions_match(got, want)

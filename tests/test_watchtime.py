@@ -8,7 +8,6 @@ from scipy import integrate
 from swipesim.media import WatchRecord
 from swipesim.watchtime import (
     DEFAULT_BUCKET_EDGES,
-    DimensionalEstimates,
     FitConfig,
     FitError,
     LadderMissingError,
@@ -18,7 +17,6 @@ from swipesim.watchtime import (
     bucket_for,
     build_param_table,
     fit_weibull_lse,
-    fuse_params,
     sample_weibull,
     weibull_cdf,
     weibull_pdf,
@@ -167,30 +165,6 @@ def test_fit_drops_nonpositive_samples():
     assert fit_dirty.n_samples == fit_clean.n_samples
 
 
-# --- fusion ----------------------------------------------------------------
-
-
-def test_fusion_all_four_branches():
-    ladder = WeibullParams(1.0, 5.0, 0.5)
-    video = WeibullParams(2.0, 6.0, 1.0)
-    user = WeibullParams(1.0, 4.0, 0.0)
-
-    assert fuse_params(DimensionalEstimates(None, None, ladder)) == ladder
-    assert fuse_params(DimensionalEstimates(video, None, ladder)) == video
-    assert fuse_params(DimensionalEstimates(None, user, ladder)) == user
-    both = fuse_params(DimensionalEstimates(video, user, ladder))
-    assert both == WeibullParams(1.5, 5.0, 0.5)
-
-
-@given(params=params_st.filter(lambda p: p.location > 0 or True))
-def test_fusion_idempotent(params):
-    ladder = WeibullParams(1.0, 1.0, 0.0)
-    fused = fuse_params(DimensionalEstimates(params, params, ladder))
-    assert fused.shape == pytest.approx(params.shape)
-    assert fused.scale == pytest.approx(params.scale)
-    assert fused.location == pytest.approx(params.location)
-
-
 # --- buckets and the table ---------------------------------------------------
 
 
@@ -207,27 +181,9 @@ def _fit(shape, scale, location, n=100, r2=0.95):
     return WeibullFit(WeibullParams(shape, scale, location), r_squared=r2, n_samples=n)
 
 
-def test_table_lookup_fallbacks():
-    table = ParamTable()
-    table.ladder[(30.0, 60.0)] = _fit(1.0, 10.0, 0.0)
-    table.video["v1"] = _fit(2.0, 8.0, 1.0)
-
-    est = table.lookup("nobody", "v1", 45.0)
-    assert est.video_dim == WeibullParams(2.0, 8.0, 1.0)
-    assert est.user_dim is None
-    assert est.ladder_dim == WeibullParams(1.0, 10.0, 0.0)
-
-    est = table.lookup(None, "unknown", 45.0)
-    assert est.video_dim is None and est.user_dim is None
-
-    with pytest.raises(LadderMissingError):
-        table.lookup(None, "v1", 200.0)
-
-
 def test_table_save_load_round_trip(tmp_path):
     table = ParamTable()
     table.video["v1"] = _fit(1.2345678901234567, 8.000000000000002, 0.1)
-    table.user["u9"] = _fit(0.9, 3.5, 0.0, n=31, r2=0.61)
     table.ladder[(0.0, 15.0)] = _fit(1.0, 5.0, 0.25)
     table.ladder[(120.0, math.inf)] = _fit(2.0, 40.0, 2.0)
 
@@ -235,7 +191,6 @@ def test_table_save_load_round_trip(tmp_path):
     table.save(p1)
     loaded = ParamTable.load(p1)
     assert loaded.video == table.video
-    assert loaded.user == table.user
     assert loaded.ladder == table.ladder
 
     p2 = tmp_path / "again.csv"
@@ -244,7 +199,7 @@ def test_table_save_load_round_trip(tmp_path):
 
 
 def _bucketed_records(durations, rng):
-    """40 draws per duration, each from its own user and video."""
+    """40 draws per duration, split over two videos."""
     truth = WeibullParams(1.3, 6.0, 0.5)
     return [
         WatchRecord(f"u{d}-{i}", f"v{d}-{i % 2}", d, float(t))
@@ -261,7 +216,7 @@ def test_table_load_derives_custom_bucket_edges(tmp_path):
     loaded = ParamTable.load(tmp_path / "table.csv")
     assert loaded.bucket_edges == edges
     for duration in (5.0, 20.0, 30.0, 44.9, 45.0, 600.0):
-        assert loaded.fused("u", "v10.0-0", duration) == fitted.fused("u", "v10.0-0", duration)
+        assert loaded.fused("v10.0-0", duration) == fitted.fused("v10.0-0", duration)
 
 
 def test_table_load_keeps_default_bucket_edges(tmp_path):
@@ -272,7 +227,7 @@ def test_table_load_keeps_default_bucket_edges(tmp_path):
     fitted.save(tmp_path / "table.csv")
     loaded = ParamTable.load(tmp_path / "table.csv")
     assert loaded.bucket_edges == DEFAULT_BUCKET_EDGES
-    assert (loaded.video, loaded.user, loaded.ladder) == (fitted.video, fitted.user, fitted.ladder)
+    assert (loaded.video, loaded.ladder) == (fitted.video, fitted.ladder)
 
 
 def test_table_bucket_keys_round_trip_exactly(tmp_path):
@@ -301,10 +256,10 @@ def test_table_load_unfitted_buckets_still_raise(tmp_path):
     fitted = build_param_table(_bucketed_records((40.0,), np.random.default_rng(7)))
     fitted.save(tmp_path / "table.csv")
     loaded = ParamTable.load(tmp_path / "table.csv")
-    assert loaded.fused("u", "v", 40.0) == fitted.fused("u", "v", 40.0)
+    assert loaded.fused("v", 40.0) == fitted.fused("v", 40.0)
     for duration in (10.0, 500.0):
         with pytest.raises(LadderMissingError):
-            loaded.fused("u", "v", duration)
+            loaded.fused("v", duration)
 
 
 def test_fit_config_rejects_bad_bucket_edges():
@@ -321,13 +276,17 @@ def test_table_load_rejects_malformed(tmp_path):
     p.write_text("weird,v1,1.0,2.0,0.0,30,0.9\n")
     with pytest.raises(ValueError):
         ParamTable.load(p)
+    # a stale table with `user` rows must be re-fitted
+    p.write_text("user,u0000,1.0,2.0,0.0,30,0.9\n")
+    with pytest.raises(ValueError, match="bad.csv:1: unknown dimension 'user'"):
+        ParamTable.load(p)
 
 
 def test_build_table_groups_and_tallies_failures():
     rng = np.random.default_rng(12)
     truth = WeibullParams(1.4, 6.0, 0.5)
     records = []
-    # one well-sampled video watched by many one-off users
+    # one well-sampled video
     for i, t in enumerate(sample_weibull(truth, rng, 200)):
         records.append(WatchRecord(f"u{i % 40}", "hit", 45.0, float(t)))
     # a sparse video: too few samples to fit
@@ -338,9 +297,6 @@ def test_build_table_groups_and_tallies_failures():
     assert "hit" in table.video
     assert "rare" not in table.video
     assert table.failures["video"]["insufficient_samples"] == 1
-    # every user saw ~5 videos: far below n_min
-    assert not table.user
-    assert table.failures["user"]["insufficient_samples"] == 40
     assert (30.0, 60.0) in table.ladder
     fit = table.video["hit"]
     assert fit.params.shape == pytest.approx(1.4, rel=0.25)
