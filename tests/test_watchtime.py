@@ -165,6 +165,24 @@ def test_fit_drops_nonpositive_samples():
     assert fit_dirty.n_samples == fit_clean.n_samples
 
 
+# --- fusion ----------------------------------------------------------------
+
+
+def test_fusion_all_four_branches():
+    """Video fitted or not, times bucket fitted or not."""
+    ladder = WeibullParams(1.0, 5.0, 0.5)
+    video = WeibullParams(2.0, 6.0, 1.0)
+    table = ParamTable()
+    table.ladder[(30.0, 60.0)] = WeibullFit(ladder, r_squared=0.9, n_samples=500)
+    table.video["v"] = WeibullFit(video, r_squared=0.9, n_samples=100)
+
+    assert table.fused("v", 45.0) == video
+    assert table.fused("other", 45.0) == ladder
+    for vid in ("v", "other"):
+        with pytest.raises(LadderMissingError):
+            table.fused(vid, 200.0)
+
+
 # --- buckets and the table ---------------------------------------------------
 
 
@@ -179,6 +197,18 @@ def test_bucket_edges():
 
 def _fit(shape, scale, location, n=100, r2=0.95):
     return WeibullFit(WeibullParams(shape, scale, location), r_squared=r2, n_samples=n)
+
+
+def test_table_lookup_fallbacks():
+    table = ParamTable()
+    table.ladder[(30.0, 60.0)] = _fit(1.0, 10.0, 0.0)
+    table.video["v1"] = _fit(2.0, 8.0, 1.0)
+
+    assert table.fused("v1", 45.0) == WeibullParams(2.0, 8.0, 1.0)
+    assert table.fused("unknown", 45.0) == WeibullParams(1.0, 10.0, 0.0)
+
+    with pytest.raises(LadderMissingError):
+        table.fused("v1", 200.0)
 
 
 def test_table_save_load_round_trip(tmp_path):
