@@ -33,7 +33,6 @@ from .harness import (
     train_policy,
 )
 from .media import (
-    NetworkSample,
     Playlist,
     RangeSegment,
     Trace,
@@ -46,19 +45,17 @@ from .media import (
 from .policy import (
     MlpNet,
     PolicyConfig,
-    RangeAction,
+    PolicyExtras,
     Strategy,
     baseline_policy,
     build_state,
     load_checkpoint,
     map_to_range,
-    sample_action,
     save_checkpoint,
 )
 from .ppo import (
     RewardWeights,
     TrainConfig,
-    Transition,
     attribute_reward_terms,
     compute_reward,
     discounted_returns,

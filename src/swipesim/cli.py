@@ -18,7 +18,7 @@ import json
 import sys
 from pathlib import Path
 
-from .config import check_issue_floor, experiment_spec, load_config
+from .config import experiment_spec, load_config
 from .harness import (
     ConfigError,
     DataError,
@@ -152,7 +152,6 @@ def cmd_fit(args) -> int:
 
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
-    check_issue_floor(cfg, (args.variant,))
     seed = cfg.seed if args.seed is None else args.seed
     with_wte = includes_watch_estimates(args.variant)
     out = args.out or (cfg.paths.checkpoint if with_wte else cfg.paths.no_wte_checkpoint)

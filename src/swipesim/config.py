@@ -14,7 +14,7 @@ from pathlib import Path
 import yaml
 
 from .harness import ConfigError, ExperimentSpec
-from .policy import LEARNED_STRATEGIES, MIN_ISSUE_S, PolicyConfig, baseline_policy
+from .policy import LEARNED_STRATEGIES, PolicyConfig, baseline_policy
 from .ppo import RewardWeights, TrainConfig
 from .sim import SimConfig
 from .watchtime import FitConfig
@@ -164,31 +164,7 @@ def load_config(path) -> AppConfig:
     )
     if cfg.jobs < 1:
         raise ConfigError(f"jobs: expected at least 1, got {cfg.jobs}")
-    check_issue_floor(cfg, strategies)
     return _resolve_paths(cfg, Path(path).parent)
-
-
-def check_issue_floor(cfg: AppConfig, strategies: tuple[str, ...]) -> None:
-    """Reject a `sim.b_max_s` at or below a demand-selecting strategy's floor.
-
-    Demand selection only picks a video with room for a task of at least
-    `MIN_ISSUE_S` (`deload_<seconds>s`) or `policy.range_min_s` (learned
-    strategies) below B_max; at or below that floor a session never
-    downloads and stalls until `max_session_s`. `harness.build_strategies`
-    checks each loaded checkpoint's own `range_min_s` as well.
-    """
-    for name in strategies:
-        if name in LEARNED_STRATEGIES:
-            floor, what = cfg.policy.range_min_s, "policy.range_min_s"
-        elif name != "naive_1s":
-            floor, what = MIN_ISSUE_S, "the fixed-range issue floor"
-        else:
-            continue
-        if cfg.sim.b_max_s <= floor:
-            raise ConfigError(
-                f"sim.b_max_s: {cfg.sim.b_max_s} is not above {what} ({floor}); "
-                f"strategy {name!r} would never download"
-            )
 
 
 def _resolve_paths(cfg: AppConfig, base: Path) -> AppConfig:

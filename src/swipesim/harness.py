@@ -25,9 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .demand import fitted_survival
-from .media import NetworkSample, Trace, VideoMeta, VideoState, WatchRecord
+from .media import Trace, VideoMeta, VideoState, WatchRecord
 from .policy import (
     LEARNED_STRATEGIES,
+    LearnedRangeStrategy,
     MlpNet,
     PolicyConfig,
     Strategy,
@@ -81,7 +82,8 @@ def ingest_traces(pattern: str) -> list[Trace]:
         raise DataError(f"no traces match {pattern!r}")
     traces = []
     for path in paths:
-        samples = []
+        stamps: list[float] = []
+        levels: list[float] = []
         with _open_data(path) as fh:
             for lineno, raw in enumerate(fh, start=1):
                 raw = raw.strip()
@@ -96,9 +98,10 @@ def ingest_traces(pattern: str) -> list[Trace]:
                     if lineno == 1:
                         continue  # header
                     raise DataError(f"{path}:{lineno}: non-numeric fields {raw!r}")
-                samples.append(NetworkSample(timestamp_ms=ts, bandwidth_mbps=bw))
+                stamps.append(ts)
+                levels.append(bw)
         try:
-            traces.append(Trace(trace_id=Path(path).stem, samples=samples))
+            traces.append(Trace(Path(path).stem, stamps, levels))
         except ValueError as err:
             raise DataError(f"{path}: {err}")
     return traces
@@ -360,32 +363,40 @@ def build_strategies(spec: ExperimentSpec) -> list[Strategy]:
     """Resolve strategy names, loading checkpoints where needed.
 
     Fails fast (ConfigError) before any simulation when a learned strategy
-    lacks its checkpoint, when `sim.b_max_s` is not above the `range_min_s`
-    its checkpoint was trained with (no video would ever have room for a
-    task), or when a strategy on fitted survival lacks the parameter table.
+    lacks its checkpoint, when `sim.b_max_s` is not above a strategy's issue
+    floor (a learned one's is the `range_min_s` its checkpoint was trained
+    with), or when a strategy on fitted survival lacks the parameter table.
     """
     strategies: list[Strategy] = []
     for name in spec.strategies:
-        net = None
+        net = path = None
         if name in LEARNED_STRATEGIES:
             key = "checkpoint_path" if includes_watch_estimates(name) else "no_wte_checkpoint_path"
             path = getattr(spec, key)
             if not path:
                 raise ConfigError(f"strategy {name!r} needs {key}")
             net = _load_net(path)
-            if spec.sim.b_max_s <= net.cfg.range_min_s:
-                raise ConfigError(
-                    f"sim.b_max_s: {spec.sim.b_max_s} is not above range_min_s ({net.cfg.range_min_s}) "
-                    f"of checkpoint {path}; strategy {name!r} would never download"
-                )
         try:
-            strategies.append(baseline_policy(name, net))
+            strategy = baseline_policy(name, net)
         except ValueError as err:
             raise ConfigError(str(err))
+        _check_issue_floor(strategy, spec.sim.b_max_s, f" from checkpoint {path}" if path else "")
+        strategies.append(strategy)
     fitted = [s.name for s in strategies if s.survival is fitted_survival]
     if fitted and not spec.param_table_path:
         raise ConfigError(f"strategies {fitted} need param_table_path")
     return strategies
+
+
+def _check_issue_floor(strategy: Strategy, b_max_s: float, source: str = "") -> None:
+    """Reject a B_max at or below the strategy's issue floor: no video would
+    ever have room for a task, and every session would stall until
+    `max_session_s`. `source` names where the floor comes from."""
+    if b_max_s <= strategy.floor_s:
+        raise ConfigError(
+            f"sim.b_max_s: {b_max_s} is not above the issue floor ({strategy.floor_s}) "
+            f"of strategy {strategy.name!r}{source}; it would never download"
+        )
 
 
 def _load_net(path) -> MlpNet:
@@ -412,9 +423,11 @@ def train_policy(
     """Train a fresh range policy on the given traces.
 
     Each episode is a `simulate_one` session keyed by (seed, episode), so
-    repeated runs reproduce the same learning curve exactly.
+    repeated runs reproduce the same learning curve exactly. A
+    `sim_cfg.b_max_s` at or below `policy_cfg.range_min_s` is a ConfigError.
     """
     net = MlpNet.create(policy_cfg, seed)
+    _check_issue_floor(LearnedRangeStrategy("deload-train", net), sim_cfg.b_max_s, " from policy.range_min_s")
     session = functools.partial(
         simulate_one, catalog=catalog, table=table, retention=retention, sim_cfg=sim_cfg
     )

@@ -134,34 +134,29 @@ class WatchRecord:
             raise ValueError("watch_time_s must be non-negative")
 
 
-@dataclass(frozen=True)
-class NetworkSample:
-    """One bandwidth measurement of a network trace."""
-
-    timestamp_ms: float
-    bandwidth_mbps: float
-
-
 class Trace:
     """Bandwidth trace with piecewise-constant interpolation.
 
-    Lookups past the last sample wrap cyclically, with the final sample held
-    for one trailing interval (inferred from the last sample spacing), so a
-    short trace can drive an arbitrarily long session.
+    Two parallel columns, `timestamps_ms` and `bandwidth_mbps`, one entry
+    per sample. Lookups past the last sample wrap cyclically, with the final
+    sample held for one trailing interval (inferred from the last sample
+    spacing), so a short trace can drive an arbitrarily long session.
     """
 
-    def __init__(self, trace_id: str, samples: list[NetworkSample]):
-        if not samples:
+    def __init__(self, trace_id: str, timestamps_ms: list[float], bandwidth_mbps: list[float]):
+        ts, bws = list(timestamps_ms), list(bandwidth_mbps)
+        if len(ts) != len(bws):
+            raise ValueError(f"trace {trace_id}: {len(ts)} timestamps but {len(bws)} bandwidths")
+        if not ts:
             raise ValueError("trace must have at least one sample")
-        ts = [s.timestamp_ms for s in samples]
         if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
             raise ValueError(f"trace {trace_id}: timestamps must be strictly increasing")
-        if any(s.bandwidth_mbps < 0 for s in samples):
+        if any(bw < 0 for bw in bws):
             raise ValueError(f"trace {trace_id}: bandwidth must be non-negative")
         self.trace_id = trace_id
-        self.samples = list(samples)
+        self.timestamps_ms = ts
+        self.bandwidth_mbps = bws
         self._rel_s = [(t - ts[0]) / 1000.0 for t in ts]
-        self._bw = [s.bandwidth_mbps for s in samples]
         if len(ts) >= 2:
             tail = self._rel_s[-1] - self._rel_s[-2]
         else:
@@ -176,7 +171,7 @@ class Trace:
     def mean_bandwidth_mbps(self) -> float:
         # Time-weighted mean over one period.
         total = 0.0
-        for i, bw in enumerate(self._bw):
+        for i, bw in enumerate(self.bandwidth_mbps):
             hi = self._rel_s[i + 1] if i + 1 < len(self._rel_s) else self._period_s
             total += bw * (hi - self._rel_s[i])
         return total / self._period_s
@@ -192,7 +187,7 @@ class Trace:
         if i < 0:
             i = 0
         end = self._rel_s[i + 1] if i + 1 < len(self._rel_s) else self._period_s
-        return self._rel_s[i], end, self._bw[i]
+        return self._rel_s[i], end, self.bandwidth_mbps[i]
 
     def bandwidth_at(self, t_s: float) -> float:
         """Bandwidth in Mbps at absolute session time `t_s` (cyclic)."""

@@ -58,34 +58,6 @@ class PolicyConfig:
         return FIELDS_PER_VIDEO * self.k + 3
 
 
-@dataclass(frozen=True)
-class PolicyState:
-    """Flat normalized feature vector fed to the nets."""
-
-    features: np.ndarray
-
-
-@dataclass(frozen=True)
-class ActionDistribution:
-    """Gaussian over the raw action variable before range mapping."""
-
-    mean: float
-    stddev: float
-
-    def __post_init__(self) -> None:
-        if not self.stddev > 0:
-            raise ValueError(f"stddev must be positive, got {self.stddev}")
-
-
-@dataclass(frozen=True)
-class RangeAction:
-    """A sampled range duration plus what training needs to reuse it."""
-
-    duration_s: float
-    log_prob: float
-    raw: float  # pre-clamp Gaussian draw
-
-
 def _watch_features(params: WeibullParams, d: float, e_high: float, e_low: float) -> tuple[float, float]:
     """Clipped (h / d, l / d) of one video: a pure function of its inputs.
 
@@ -103,8 +75,9 @@ def build_state(
     q_mbps: float,
     rtt_ms: float,
     cfg: PolicyConfig,
-) -> PolicyState:
-    """Encode the playlist and network estimates as a normalized vector.
+) -> np.ndarray:
+    """Encode the playlist and network estimates as a normalized float64
+    vector, the nets' input.
 
     Per video (zero-padded past the playlist end):
       [bitrate / top rung, tau / d, d / duration cap, t / d, h / d, l / d]
@@ -152,7 +125,7 @@ def build_state(
         0.0 if rtt < 0.0 else 1.0 if rtt > 1.0 else rtt,
         0.0 if sel < 0.0 else 1.0 if sel > 1.0 else sel,
     )
-    return PolicyState(features=np.array(feats, dtype=np.float64))
+    return np.array(feats, dtype=np.float64)
 
 
 class Mlp:
@@ -250,24 +223,32 @@ def softplus(z):
     return np.logaddexp(0.0, z)
 
 
-def actor_distribution(net: MlpNet, state: PolicyState) -> ActionDistribution:
-    """Evaluate the actor alone on one state; raises on non-finite outputs."""
-    raw, _ = net.actor.forward(state.features)
+def actor_distribution(net: MlpNet, features: np.ndarray) -> tuple[float, float]:
+    """The actor's Gaussian over the raw action for one state: (mean, stddev).
+
+    Runs the actor alone. Raises FloatingPointError on a non-finite output
+    or a stddev that is not positive (softplus underflows to 0.0 far below
+    zero).
+    """
+    raw, _ = net.actor.forward(features)
     mean = math.tanh(float(raw[0, 0]))
     stddev = float(softplus(raw[0, 1]))
     if not (math.isfinite(mean) and math.isfinite(stddev)):
         raise FloatingPointError(f"non-finite policy output: mean={mean} stddev={stddev}")
-    return ActionDistribution(mean=mean, stddev=stddev)
+    if not stddev > 0.0:
+        raise FloatingPointError(f"policy stddev must be positive, got {stddev}")
+    return mean, stddev
 
 
-def policy_forward(net: MlpNet, state: PolicyState) -> tuple[ActionDistribution, float]:
-    """Evaluate both nets on one state; raises on non-finite outputs."""
-    dist = actor_distribution(net, state)
-    value, _ = net.critic.forward(state.features)
+def policy_forward(net: MlpNet, features: np.ndarray) -> tuple[float, float, float]:
+    """Both nets on one state: (mean, stddev, value); raises on non-finite
+    outputs."""
+    mean, stddev = actor_distribution(net, features)
+    value, _ = net.critic.forward(features)
     val = float(value[0, 0])
     if not math.isfinite(val):
         raise FloatingPointError(f"non-finite policy output: value={val}")
-    return dist, val
+    return mean, stddev, val
 
 
 def map_to_range(raw: float, cfg: PolicyConfig) -> float:
@@ -279,24 +260,6 @@ def map_to_range(raw: float, cfg: PolicyConfig) -> float:
 def gaussian_log_prob(x: float, mean: float, stddev: float) -> float:
     z = (x - mean) / stddev
     return -0.5 * z * z - math.log(stddev) - 0.5 * LOG_2PI
-
-
-def sample_action(
-    dist: ActionDistribution,
-    rng: np.random.Generator,
-    cfg: PolicyConfig,
-) -> RangeAction:
-    """Draw a raw Gaussian action and map it to a range duration.
-
-    The log-probability is of the raw (pre-clamp) draw, so the density stays
-    proper for training even when the mapping saturates.
-    """
-    raw = float(rng.normal(dist.mean, dist.stddev))
-    return RangeAction(
-        duration_s=map_to_range(raw, cfg),
-        log_prob=gaussian_log_prob(raw, dist.mean, dist.stddev),
-        raw=raw,
-    )
 
 
 # --- checkpoint serialization ------------------------------------------------
@@ -401,10 +364,12 @@ def load_checkpoint(path) -> MlpNet:
 
 @dataclass(slots=True)
 class PolicyExtras:
-    """Training payload attached to a sampled learned-policy decision.
+    """The training record of one sampled learned-policy decision: the
+    state, the raw Gaussian draw and its log-probability.
 
-    Deterministic (evaluation) decisions carry none. The critic's value is
-    not part of it: `ppo_update` computes it for the whole batch.
+    Deterministic (evaluation) decisions carry none. `ppo.train` batches
+    these with a parallel reward and done per record; the critic's value is
+    not part of it, since `ppo_update` computes it for the whole batch.
     """
 
     features: np.ndarray
@@ -435,10 +400,14 @@ class Strategy:
 
     `survival` is the watch-time model behind the strategy's demands, None
     when it computes none; `fitted_survival` needs the parameter table.
+    `floor_s` is the least room below B_max a video needs before the
+    strategy issues a task for it: at a B_max at or below it the strategy
+    never downloads.
     """
 
     name: str = "strategy"
     survival: SurvivalFn | None = None
+    floor_s: float = 0.0
 
     def decide(
         self,
@@ -451,11 +420,10 @@ class Strategy:
         raise NotImplementedError
 
 
-MIN_ISSUE_S = 0.2
-
-
 class FixedRangeStrategy(Strategy):
     """Demand-based selection with a constant range duration."""
+
+    floor_s = 0.2
 
     def __init__(self, name: str, duration_s: float, survival: SurvivalFn = fitted_survival):
         self.name = name
@@ -464,7 +432,7 @@ class FixedRangeStrategy(Strategy):
 
     def decide(self, playlist, q_mbps, rtt_ms, b_max_s, rng):
         dv = compute_demands(playlist, self.survival)
-        idx = select_video(playlist, dv, b_max_s, min_headroom_s=MIN_ISSUE_S)
+        idx = select_video(playlist, dv, b_max_s, min_headroom_s=self.floor_s)
         if idx is None:
             return None
         return Decision(index=idx, duration_s=self.duration_s)
@@ -501,6 +469,7 @@ class LearnedRangeStrategy(Strategy):
         self.name = name
         self.net = net
         self.cfg = net.cfg
+        self.floor_s = net.cfg.range_min_s
         self.deterministic = deterministic
         self.survival: SurvivalFn = (
             fitted_survival if self.cfg.include_watch_estimates else uniform_survival
@@ -508,16 +477,19 @@ class LearnedRangeStrategy(Strategy):
 
     def decide(self, playlist, q_mbps, rtt_ms, b_max_s, rng):
         dv = compute_demands(playlist, self.survival)
-        idx = select_video(playlist, dv, b_max_s, min_headroom_s=self.cfg.range_min_s)
+        idx = select_video(playlist, dv, b_max_s, min_headroom_s=self.floor_s)
         if idx is None:
             return None
-        state = build_state(playlist, idx, q_mbps, rtt_ms, self.cfg)
-        dist = actor_distribution(self.net, state)
+        features = build_state(playlist, idx, q_mbps, rtt_ms, self.cfg)
+        mean, stddev = actor_distribution(self.net, features)
         if self.deterministic:
-            return Decision(index=idx, duration_s=map_to_range(dist.mean, self.cfg))
-        action = sample_action(dist, rng, self.cfg)
-        extras = PolicyExtras(features=state.features, raw=action.raw, log_prob=action.log_prob)
-        return Decision(index=idx, duration_s=action.duration_s, extras=extras)
+            return Decision(index=idx, duration_s=map_to_range(mean, self.cfg))
+        # The log-probability is of the raw (pre-clamp) draw, so the density
+        # stays proper for training even where the range mapping saturates.
+        raw = float(rng.normal(mean, stddev))
+        duration_s = map_to_range(raw, self.cfg)
+        extras = PolicyExtras(features=features, raw=raw, log_prob=gaussian_log_prob(raw, mean, stddev))
+        return Decision(index=idx, duration_s=duration_s, extras=extras)
 
 
 def includes_watch_estimates(kind: str) -> bool:

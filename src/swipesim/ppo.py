@@ -9,13 +9,13 @@ MLPs. Two Adam optimizers, one per net.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
 
 from .media import BITS_PER_MEGABIT
-from .policy import LearnedRangeStrategy, Mlp, MlpNet
+from .policy import LearnedRangeStrategy, Mlp, MlpNet, PolicyExtras
 
 if TYPE_CHECKING:
     from .media import Trace
@@ -72,21 +72,6 @@ def attribute_reward_terms(
         elif window_start_s <= begin < window_end_s:
             w_bits += wasted
     return w_bits, bt_s
-
-
-@dataclass(frozen=True)
-class Transition:
-    """One policy step: state, raw action, its old log-prob, reward.
-
-    Rollouts run the actor only, so a transition carries no critic value;
-    `ppo_update` computes the old values of its whole batch at once.
-    """
-
-    features: np.ndarray
-    raw: float
-    reward: float
-    done: bool
-    log_prob: float
 
 
 @dataclass(frozen=True)
@@ -278,10 +263,15 @@ class PpoOptimizers:
 def ppo_update(
     net: MlpNet,
     optimizers: PpoOptimizers,
-    batch: Sequence[Transition],
+    batch: Sequence[PolicyExtras],
+    rewards: Sequence[float],
+    dones: Sequence[bool],
     cfg: TrainConfig,
 ) -> dict:
-    """One PPO update over a batch of transitions; mutates the nets.
+    """One PPO update over a batch of sampled decisions; mutates the nets.
+
+    `rewards[i]` is the reward of `batch[i]`, and `dones[i]` marks the last
+    decision of an episode.
 
     Before the first epoch, one stacked critic forward over the batch gives
     the old values: the weights the rollouts saw, since nothing changes
@@ -292,11 +282,9 @@ def ppo_update(
     """
     if not batch:
         return {"actor_loss": 0.0, "critic_loss": 0.0, "n": 0}
-    features = np.stack([tr.features for tr in batch])
-    raw = np.array([tr.raw for tr in batch], dtype=np.float64)
-    rewards = [tr.reward for tr in batch]
-    dones = [tr.done for tr in batch]
-    old_log_probs = np.array([tr.log_prob for tr in batch], dtype=np.float64)
+    features = np.stack([x.features for x in batch])
+    raw = np.array([x.raw for x in batch], dtype=np.float64)
+    old_log_probs = np.array([x.log_prob for x in batch], dtype=np.float64)
     values, _ = net.critic.forward(features[:, None, :])
     old_values = values[:, 0, 0]
     if not np.isfinite(old_values).all():
@@ -333,19 +321,6 @@ class EpisodeLog:
     mean_range_s: float
 
 
-def transitions_from_actions(actions) -> list[Transition]:
-    """Turn a session's `ActionLog` of policy actions into training
-    transitions; the last one ends the episode."""
-    out = [
-        Transition(features=x.features, raw=x.raw, reward=reward, done=False, log_prob=x.log_prob)
-        for x, reward in zip(actions.policy, actions.reward)
-        if x is not None
-    ]
-    if out:
-        out[-1] = replace(out[-1], done=True)
-    return out
-
-
 def train(
     net: MlpNet,
     traces: "Sequence[Trace]",
@@ -367,11 +342,22 @@ def train(
     strategy = LearnedRangeStrategy("deload-train", net)
     picker = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x7261)))
     logs: list[EpisodeLog] = []
-    pending: list[Transition] = []
+    # The sampled decisions since the last update, with their rewards and
+    # whether each ends its episode.
+    batch: list[PolicyExtras] = []
+    rewards: list[float] = []
+    dones: list[bool] = []
     for ep in range(train_cfg.episodes):
         trace = traces[int(picker.integers(len(traces)))]
         metrics = session(strategy, trace, (seed, ep))
-        pending.extend(transitions_from_actions(metrics.actions))
+        episode_start = len(batch)
+        for extras, reward in zip(metrics.actions.policy, metrics.actions.reward):
+            if extras is not None:
+                batch.append(extras)
+                rewards.append(reward)
+                dones.append(False)
+        if len(batch) > episode_start:
+            dones[-1] = True
         ranges = metrics.actions.duration_s
         logs.append(
             EpisodeLog(
@@ -382,11 +368,11 @@ def train(
                 mean_range_s=float(np.mean(ranges)) if ranges else 0.0,
             )
         )
-        if (ep + 1) % train_cfg.batch_episodes == 0 and pending:
-            ppo_update(net, optimizers, pending, train_cfg)
-            pending = []
-    if pending:
-        ppo_update(net, optimizers, pending, train_cfg)
+        if (ep + 1) % train_cfg.batch_episodes == 0 and batch:
+            ppo_update(net, optimizers, batch, rewards, dones, train_cfg)
+            batch, rewards, dones = [], [], []
+    if batch:
+        ppo_update(net, optimizers, batch, rewards, dones, train_cfg)
     return net, logs
 
 

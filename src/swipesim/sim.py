@@ -225,27 +225,6 @@ def attribute_windows(
     return terms
 
 
-class BandwidthCursor:
-    """`Trace.bandwidth_at` for one session's stepping clock.
-
-    Keeps the constant-bandwidth stretch of the trace that the last lookup
-    landed in and answers from it while `t % period` stays inside; any other
-    time falls back to the trace's bisect lookup. Every answer is the
-    trace's own; non-decreasing times make the fallback rare. The session's
-    step loop tests `lo`/`hi` itself and calls `bandwidth_at` only on a miss.
-    """
-
-    def __init__(self, trace: Trace):
-        self.trace = trace
-        self.period = trace.duration_s
-        self.lo = self.hi = self.bw = 0.0
-
-    def bandwidth_at(self, t_s: float) -> float:
-        if not self.lo <= t_s % self.period < self.hi:
-            self.lo, self.hi, self.bw = self.trace.segment_at(t_s)
-        return self.bw
-
-
 # Latencies per `rtt_rng` call; a session uses a few hundred, and draws past
 # its end are never read.
 RTT_BLOCK = 128
@@ -270,7 +249,6 @@ class _Session:
         seed,
     ):
         self.trace = trace
-        self.bandwidth = BandwidthCursor(trace)
         self.strategy = strategy
         self.config = config
         ss = np.random.SeedSequence(entropy=list(_entropy(seed)))
@@ -377,9 +355,11 @@ class _Session:
         watch_times = self.watch_times
         events = self.events
         delivered = self.metrics.actions.delivered_s
-        cursor = self.bandwidth
-        period = cursor.period
-        lo, hi, bw = cursor.lo, cursor.hi, cursor.bw
+        # The trace's constant stretch [lo, hi) of `t % period`, at `bw`;
+        # looked up again only when the clock leaves it.
+        trace = self.trace
+        period = trace.duration_s
+        lo = hi = bw = 0.0
         m = self.metrics
         downloaded, rebuffer = m.downloaded_bits, m.total_rebuffer_s
         t = self.t
@@ -406,8 +386,7 @@ class _Session:
                     span -= used
                 if span > 0.0:
                     if not lo <= t % period < hi:
-                        bw = cursor.bandwidth_at(t)
-                        lo, hi = cursor.lo, cursor.hi
+                        lo, hi, bw = trace.segment_at(t)
                     bits = bw * BITS_PER_MEGABIT * span
                     need = extent - got
                     take = need if bits >= need else bits

@@ -15,8 +15,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .media import NetworkSample, Trace, VideoMeta, WatchRecord
-from .watchtime import WeibullParams
+from .media import Trace, VideoMeta, WatchRecord
+from .watchtime import WeibullParams, sample_weibull
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,8 @@ def generate_traces(spec: SyntheticSpec, rng: np.random.Generator) -> list[Trace
         else:
             levels = _walk_trace(mean, n, spec.trace_step_ms, spec, rng)
             kind = "walk"
-        samples = [
-            NetworkSample(timestamp_ms=k * spec.trace_step_ms, bandwidth_mbps=round(b, 6))
-            for k, b in enumerate(levels)
-        ]
-        traces.append(Trace(trace_id=f"{kind}-{i:04d}", samples=samples))
+        stamps = [k * spec.trace_step_ms for k in range(n)]
+        traces.append(Trace(f"{kind}-{i:04d}", stamps, [round(b, 6) for b in levels]))
     return traces
 
 
@@ -128,8 +125,7 @@ def generate_watch_records(
     records: list[WatchRecord] = []
     for meta in catalog:
         p = truth[meta.video_id]
-        u = rng.random(spec.records_per_video)
-        draws = p.location + p.scale * (-np.log1p(-u)) ** (1.0 / p.shape)
+        draws = sample_weibull(p, rng, spec.records_per_video)
         users = rng.integers(spec.n_users, size=spec.records_per_video)
         for uid, w in zip(users, draws):
             records.append(
@@ -162,8 +158,8 @@ def write_suite(spec: SyntheticSpec, out_dir, seed: int) -> dict:
     for tr in traces:
         path = out / "traces" / f"{tr.trace_id}.csv"
         with open(path, "w") as fh:
-            for s in tr.samples:
-                fh.write(f"{s.timestamp_ms:g},{s.bandwidth_mbps!r}\n")
+            for ts, bw in zip(tr.timestamps_ms, tr.bandwidth_mbps):
+                fh.write(f"{ts:g},{bw!r}\n")
 
     with open(out / "videos.csv", "w") as fh:
         fh.write("video_id,duration_s,ladder_mbps\n")

@@ -8,7 +8,6 @@ import numpy as np
 
 from swipesim.media import (
     BITS_PER_MEGABIT,
-    NetworkSample,
     RangeSegment,
     Trace,
     VideoMeta,
@@ -36,7 +35,7 @@ def buffer_to(video: VideoState, edge_s: float, bitrate_mbps: float = 1.0) -> Vi
 
 
 def flat_trace(mbps: float, trace_id: str = "flat") -> Trace:
-    return Trace(trace_id, [NetworkSample(0.0, mbps), NetworkSample(1000.0, mbps)])
+    return Trace(trace_id, [0.0, 1000.0], [mbps, mbps])
 
 
 def run_random_session(case_seed: int):
@@ -76,10 +75,9 @@ def random_session_inputs(case_seed: int) -> tuple:
 
     n_samples = int(rng.integers(2, 6))
     step = float(rng.uniform(500.0, 3000.0))
-    samples = [
-        NetworkSample(i * step, float(rng.uniform(0.2, 8.0))) for i in range(n_samples)
-    ]
-    trace = Trace(f"fuzz-{case_seed}", samples)
+    stamps = [i * step for i in range(n_samples)]
+    levels = [float(rng.uniform(0.2, 8.0)) for _ in range(n_samples)]
+    trace = Trace(f"fuzz-{case_seed}", stamps, levels)
 
     kind = case_seed % 3
     if kind == 0:

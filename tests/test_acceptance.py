@@ -24,7 +24,7 @@ from swipesim.harness import (
     run_experiment,
     train_policy,
 )
-from swipesim.policy import MlpNet, PolicyConfig, PolicyState, save_checkpoint
+from swipesim.policy import MlpNet, PolicyConfig, save_checkpoint
 from swipesim.policy import gaussian_log_prob, policy_forward
 from swipesim.ppo import TrainConfig, actor_loss_and_grads, compute_reward, critic_loss_and_grads
 from swipesim.sim import SimConfig
@@ -168,8 +168,8 @@ def test_criterion_6_gradient_check():
     raw = rng.normal(0.0, 0.7, size=n)
     old_lp = np.empty(n)
     for i in range(n):
-        dist, _ = policy_forward(net, PolicyState(feats[i]))
-        old_lp[i] = gaussian_log_prob(raw[i], dist.mean, dist.stddev)
+        mean, stddev, _ = policy_forward(net, feats[i])
+        old_lp[i] = gaussian_log_prob(raw[i], mean, stddev)
     old_lp += rng.normal(0.0, 0.05, size=n)
     adv = rng.normal(0.0, 1.0, size=n)
     returns = rng.normal(0.0, 2.0, size=n)

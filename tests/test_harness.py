@@ -47,7 +47,8 @@ def test_ingest_traces_sorts_by_name_and_skips_header(tmp_path):
     (tmp_path / "a.csv").write_text("0,3.0\n500,1.0\n")
     traces = ingest_traces(str(tmp_path / "*.csv"))
     assert [t.trace_id for t in traces] == ["a", "b"]
-    assert traces[1].samples[0].bandwidth_mbps == 1.5
+    assert traces[1].timestamps_ms == [0.0, 1000.0]
+    assert traces[1].bandwidth_mbps == [1.5, 2.5]
 
 
 def test_ingest_traces_rejects_non_monotone_timestamps(tmp_path):
@@ -627,7 +628,8 @@ def test_cli_rejects_values_the_engine_or_trainer_cannot_run(
         ("simulate", ["deload_1s"], {"b_max_s": 0.2}, {}),
         ("simulate", ["naive_1s", "deload_5s"], {"b_max_s": 0.1}, {}),
         ("simulate", ["deload"], {"b_max_s": 0.2}, {}),
-        ("simulate", ["naive_1s", "deload"], {"b_max_s": 0.8}, {"range_min_s": 1.0}),
+        # A fixed range's floor is the issue floor, whatever the range.
+        ("simulate", ["deload_0.1s"], {"b_max_s": 0.15}, {}),
         # Training runs the learned strategy whatever the list says.
         ("train", ["naive_1s"], {"b_max_s": 0.2}, {}),
         ("train --variant deload_no_wte", ["naive_1s"], {"b_max_s": 0.8}, {"range_min_s": 1.0}),
@@ -666,6 +668,24 @@ def test_cli_rejects_b_max_at_or_below_the_checkpoints_floor(pipeline, tmp_path,
     err = capsys.readouterr().err
     assert err.startswith("error: sim.b_max_s") and str(ckpt) in err
     assert not out.exists()
+
+
+def test_cli_checks_the_floors_of_the_strategies_a_command_runs(pipeline, tmp_path):
+    """`fit` runs no strategy, and `simulate` runs a checkpoint's
+    `range_min_s` (0.2 here), not the config's policy section."""
+    path = _suite_config(pipeline, tmp_path, strategies=["deload_1s"])
+    doc = yaml.safe_load(path.read_text())
+    doc["sim"]["b_max_s"] = 0.2
+    path.write_text(yaml.safe_dump(doc))
+    assert cli_main(["fit", "--config", str(path), "--out", str(tmp_path / "table.csv")]) == 0
+    doc["strategies"] = ["naive_1s", "deload"]
+    doc["sim"]["b_max_s"] = 0.8
+    doc["policy"] = {"range_min_s": 1.0}
+    path.write_text(yaml.safe_dump(doc))
+    assert cli_main(["simulate", "--config", str(path), "--out", str(tmp_path / "run")]) == 0
+    report = load_report(tmp_path / "run")
+    assert report.strategies == ("naive_1s", "deload")
+    assert all(r.n_actions > 0 for r in report.runs)
 
 
 def test_cli_train_without_episodes_reports_no_reward(pipeline, tmp_path, capsys):

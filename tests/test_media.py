@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from conftest import buffer_to, make_video
 from swipesim.media import (
     BITS_PER_MEGABIT,
-    NetworkSample,
     Playlist,
     RangeSegment,
     Trace,
@@ -169,19 +168,18 @@ def test_watched_prefix_is_monotone_and_bounded(edges, watch):
 
 
 def test_trace_rejects_non_monotone_and_negative():
-    with pytest.raises(ValueError):
-        Trace("t", [NetworkSample(0.0, 1.0), NetworkSample(0.0, 2.0)])
-    with pytest.raises(ValueError):
-        Trace("t", [NetworkSample(0.0, -1.0)])
-    with pytest.raises(ValueError):
-        Trace("t", [])
+    with pytest.raises(ValueError, match="increasing"):
+        Trace("t", [0.0, 0.0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="non-negative"):
+        Trace("t", [0.0], [-1.0])
+    with pytest.raises(ValueError, match="at least one sample"):
+        Trace("t", [], [])
+    with pytest.raises(ValueError, match="2 timestamps but 1 bandwidths"):
+        Trace("t", [0.0, 1000.0], [1.0])
 
 
 def test_trace_piecewise_lookup_and_cycle():
-    tr = Trace(
-        "t",
-        [NetworkSample(0.0, 1.0), NetworkSample(1000.0, 2.0), NetworkSample(2000.0, 3.0)],
-    )
+    tr = Trace("t", [0.0, 1000.0, 2000.0], [1.0, 2.0, 3.0])
     assert tr.duration_s == 3.0
     assert tr.bandwidth_at(0.5) == 1.0
     assert tr.bandwidth_at(1.5) == 2.0
@@ -191,7 +189,7 @@ def test_trace_piecewise_lookup_and_cycle():
 
 
 def test_trace_single_sample_holds_forever():
-    tr = Trace("t", [NetworkSample(0.0, 4.0)])
+    tr = Trace("t", [0.0], [4.0])
     assert tr.duration_s == 1.0
     for t in (0.0, 0.7, 13.2):
         assert tr.bandwidth_at(t) == 4.0

@@ -9,14 +9,13 @@ from swipesim.demand import compute_demands, fitted_survival, select_video, unif
 from swipesim.media import VideoMeta, VideoState
 from swipesim.policy import (
     FIELDS_PER_VIDEO,
-    ActionDistribution,
     FixedRangeStrategy,
     LearnedRangeStrategy,
     Mlp,
     MlpNet,
     NaiveFixedStrategy,
     PolicyConfig,
-    PolicyState,
+    actor_distribution,
     baseline_policy,
     build_state,
     gaussian_log_prob,
@@ -24,7 +23,6 @@ from swipesim.policy import (
     map_to_range,
     naive_select,
     policy_forward,
-    sample_action,
     save_checkpoint,
     softplus,
     _watch_features,
@@ -41,8 +39,7 @@ def test_state_dim_and_padding():
     cfg = PolicyConfig()
     assert cfg.state_dim == 33
     videos = [make_video(f"v{i}", params=EXP) for i in range(3)]
-    state = build_state(videos, selected=1, q_mbps=10.0, rtt_ms=100.0, cfg=cfg)
-    feats = state.features
+    feats = build_state(videos, selected=1, q_mbps=10.0, rtt_ms=100.0, cfg=cfg)
     assert feats.shape == (33,)
     # slots for absent videos 3 and 4 stay zero
     assert not feats[3 * FIELDS_PER_VIDEO : 5 * FIELDS_PER_VIDEO].any()
@@ -56,7 +53,7 @@ def test_state_quantile_features():
     -ln(0.3) and -ln(0.7)."""
     cfg = PolicyConfig()
     v = make_video(duration_s=30.0, params=EXP)
-    feats = build_state([v], 0, 1.0, 80.0, cfg).features
+    feats = build_state([v], 0, 1.0, 80.0, cfg)
     assert feats[4] == pytest.approx(-math.log(0.3) / 30.0, abs=1e-12)
     assert feats[5] == pytest.approx(-math.log(0.7) / 30.0, abs=1e-12)
 
@@ -64,14 +61,14 @@ def test_state_quantile_features():
 def test_state_quantiles_clamped_to_duration():
     cfg = PolicyConfig()
     v = make_video(duration_s=1.0, params=WeibullParams(1.0, 100.0, 0.0))
-    feats = build_state([v], 0, 1.0, 80.0, cfg).features
+    feats = build_state([v], 0, 1.0, 80.0, cfg)
     assert feats[4] == 1.0 and feats[5] == 1.0
 
 
 def test_state_without_watch_estimates():
     cfg = PolicyConfig(include_watch_estimates=False)
     v = make_video(params=EXP)
-    feats = build_state([v], 0, 1.0, 80.0, cfg).features
+    feats = build_state([v], 0, 1.0, 80.0, cfg)
     assert feats[4] == 0.0 and feats[5] == 0.0
 
 
@@ -146,7 +143,7 @@ def test_build_state_matches_reference_bit_for_bit(videos, k, wte, e_low, e_high
     selected = data.draw(st.integers(0, max(len(videos), 1) - 1))
     want = _reference_build_state(videos, selected, q, rtt, cfg)
     for _ in range(2):  # the second call hits the memoized quantiles
-        got = build_state(videos, selected, q, rtt, cfg).features
+        got = build_state(videos, selected, q, rtt, cfg)
         assert got.dtype == np.float64 and got.shape == want.shape
         assert got.tobytes() == want.tobytes()
     # New parameters for some videos, then new quantile levels: each must
@@ -158,7 +155,7 @@ def test_build_state_matches_reference_bit_for_bit(videos, k, wte, e_low, e_high
     for cfg in (cfg, PolicyConfig(k=k, e_high=e_high2, e_low=e_low2, include_watch_estimates=wte)):
         want = _reference_build_state(videos, selected, q, rtt, cfg)
         for _ in range(2):
-            got = build_state(videos, selected, q, rtt, cfg).features
+            got = build_state(videos, selected, q, rtt, cfg)
             assert got.tobytes() == want.tobytes()
 
 
@@ -233,7 +230,7 @@ def test_build_state_matches_min_max_formula(k, data, wte, q, rtt, selected):
     # Mostly shorter than k, sometimes longer.
     videos = data.draw(st.lists(_edge_video_st(), max_size=k + 1))
     want = _min_max_build_state(videos, selected, q, rtt, cfg)
-    got = build_state(videos, selected, q, rtt, cfg).features
+    got = build_state(videos, selected, q, rtt, cfg)
     assert got.dtype == np.float64 and got.shape == (cfg.state_dim,)
     assert got.tobytes() == want.tobytes()
 
@@ -253,7 +250,7 @@ def test_state_always_in_unit_box(seed, q, rtt):
         v.buffered_s = float(rng.uniform(0.0, d))
         v.play_pos_s = float(rng.uniform(0.0, v.buffered_s))
         videos.append(v)
-    feats = build_state(videos, int(rng.integers(0, cfg.k)), q, rtt, cfg).features
+    feats = build_state(videos, int(rng.integers(0, cfg.k)), q, rtt, cfg)
     assert feats.shape == (cfg.state_dim,)
     assert np.all(feats >= 0.0) and np.all(feats <= 1.0)
 
@@ -423,17 +420,16 @@ def test_zeroed_actor_gives_known_distribution():
     for mlp in (net.actor, net.critic):
         for w in mlp.weights:
             w[:] = 0.0
-    state = PolicyState(np.full(cfg.state_dim, 0.5))
-    dist, value = policy_forward(net, state)
-    assert dist.mean == 0.0
-    assert dist.stddev == math.log(2.0)  # softplus(0)
+    mean, stddev, value = policy_forward(net, np.full(cfg.state_dim, 0.5))
+    assert mean == 0.0
+    assert stddev == math.log(2.0)  # softplus(0)
     assert value == 0.0
 
 
 def test_policy_forward_is_pure():
     cfg = PolicyConfig(k=2, hidden_sizes=(8,))
     net = MlpNet.create(cfg, seed=3)
-    state = PolicyState(np.random.default_rng(0).random(cfg.state_dim))
+    state = np.random.default_rng(0).random(cfg.state_dim)
     a = policy_forward(net, state)
     b = policy_forward(net, state)
     assert a == b
@@ -486,17 +482,28 @@ def test_gaussian_log_prob_matches_scipy():
 
 def test_sample_action_reproducible_and_consistent():
     cfg = PolicyConfig()
-    dist = ActionDistribution(mean=0.1, stddev=0.5)
-    a1 = sample_action(dist, np.random.default_rng(5), cfg)
-    a2 = sample_action(dist, np.random.default_rng(5), cfg)
-    assert a1 == a2
-    assert a1.duration_s == map_to_range(a1.raw, cfg)
-    assert a1.log_prob == gaussian_log_prob(a1.raw, 0.1, 0.5)
+    net = MlpNet.create(cfg, seed=7)
+    strat = LearnedRangeStrategy("deload", net)
+    videos = _mid_session_playlist()
+    a1 = strat.decide(videos, 3.0, 70.0, 10.0, np.random.default_rng(5))
+    a2 = strat.decide(videos, 3.0, 70.0, 10.0, np.random.default_rng(5))
+    x1, x2 = a1.extras, a2.extras
+    assert (a1.index, a1.duration_s, x1.raw, x1.log_prob) == (a2.index, a2.duration_s, x2.raw, x2.log_prob)
+    assert x1.features.tobytes() == x2.features.tobytes()
+    mean, stddev = actor_distribution(net, x1.features)
+    assert x1.raw == np.random.default_rng(5).normal(mean, stddev)
+    assert a1.duration_s == map_to_range(x1.raw, cfg)
+    assert x1.log_prob == gaussian_log_prob(x1.raw, mean, stddev)
 
 
 def test_distribution_rejects_bad_stddev():
-    with pytest.raises(ValueError):
-        ActionDistribution(mean=0.0, stddev=0.0)
+    # softplus underflows to 0.0 far below zero: no density to sample from.
+    cfg = PolicyConfig(k=2, hidden_sizes=(8,))
+    net = MlpNet.create(cfg, seed=0)
+    net.actor.weights[-1][:] = 0.0
+    net.actor.biases[-1][:] = (0.0, -800.0)
+    with pytest.raises(FloatingPointError, match="must be positive"):
+        actor_distribution(net, np.full(cfg.state_dim, 0.5))
 
 
 # --- checkpoints --------------------------------------------------------------
@@ -518,7 +525,7 @@ def test_checkpoint_round_trip(tmp_path):
     save_checkpoint(loaded, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
-    state = PolicyState(np.random.default_rng(1).random(cfg.state_dim))
+    state = np.random.default_rng(1).random(cfg.state_dim)
     assert policy_forward(net, state) == policy_forward(loaded, state)
 
 
@@ -601,9 +608,9 @@ def test_deterministic_decide_acts_at_the_actor_mean(wte):
     dec = strat.decide(videos, 3.0, 70.0, 10.0, np.random.default_rng(0))
     dv = compute_demands(videos, strat.survival)
     idx = select_video(videos, dv, 10.0, min_headroom_s=cfg.range_min_s)
-    dist, _ = policy_forward(net, build_state(videos, idx, 3.0, 70.0, cfg))
+    mean, _, _ = policy_forward(net, build_state(videos, idx, 3.0, 70.0, cfg))
     assert dec.index == idx
-    assert dec.duration_s == map_to_range(dist.mean, cfg)
+    assert dec.duration_s == map_to_range(mean, cfg)
     assert dec.extras is None
 
 
@@ -635,7 +642,7 @@ def test_nan_critic_weight_raises_in_update_and_training(monkeypatch):
     non-finite old value when the update evaluates its batch."""
     from conftest import flat_trace
     from swipesim import harness
-    from swipesim.ppo import PpoOptimizers, TrainConfig, Transition, ppo_update
+    from swipesim.ppo import PpoOptimizers, TrainConfig, ppo_update
     from swipesim.sim import RetentionSource, SimConfig
 
     net = MlpNet.create(PolicyConfig(), seed=7)
@@ -643,11 +650,10 @@ def test_nan_critic_weight_raises_in_update_and_training(monkeypatch):
     dec = LearnedRangeStrategy("deload", net).decide(
         _mid_session_playlist(), 3.0, 70.0, 10.0, np.random.default_rng(0)
     )
-    tr = Transition(dec.extras.features, dec.extras.raw, 1.0, True, dec.extras.log_prob)
     tc = TrainConfig(lr=1e-3)
     before = [p.copy() for p in net.actor.parameters()]
     with pytest.raises(FloatingPointError, match="critic value"):
-        ppo_update(net, PpoOptimizers.create(net, tc), [tr], tc)
+        ppo_update(net, PpoOptimizers.create(net, tc), [dec.extras], [1.0], [True], tc)
     assert all(np.array_equal(a, b) for a, b in zip(before, net.actor.parameters()))
 
     create = MlpNet.create

@@ -5,7 +5,8 @@ from dataclasses import dataclass
 import numpy as np
 import pytest
 
-from conftest import max_rel_grad_error
+from conftest import flat_trace, max_rel_grad_error
+from swipesim import ppo
 from swipesim.demand import compute_demands, select_video
 from swipesim.media import VideoMeta, VideoState
 from swipesim.policy import (
@@ -14,11 +15,10 @@ from swipesim.policy import (
     MlpNet,
     PolicyConfig,
     PolicyExtras,
-    PolicyState,
     build_state,
     gaussian_log_prob,
+    map_to_range,
     policy_forward,
-    sample_action,
 )
 from swipesim.ppo import (
     Adam,
@@ -26,7 +26,6 @@ from swipesim.ppo import (
     PpoOptimizers,
     RewardWeights,
     TrainConfig,
-    Transition,
     actor_loss_and_grads,
     attribute_reward_terms,
     compute_reward,
@@ -35,10 +34,9 @@ from swipesim.ppo import (
     gae_advantages,
     ppo_update,
     train,
-    transitions_from_actions,
     write_learning_curve,
 )
-from swipesim.sim import ActionLog, RetentionSource, SimConfig, run_session
+from swipesim.sim import RetentionSource, SimConfig, run_session
 from swipesim.watchtime import WeibullParams
 
 
@@ -151,8 +149,8 @@ def _batch(net, cfg, n=6, seed=11, jitter=0.05):
     raw = rng.normal(0.0, 0.7, size=n)
     old_lp = np.empty(n)
     for i in range(n):
-        dist, _ = policy_forward(net, PolicyState(feats[i]))
-        old_lp[i] = gaussian_log_prob(raw[i], dist.mean, dist.stddev)
+        mean, stddev, _ = policy_forward(net, feats[i])
+        old_lp[i] = gaussian_log_prob(raw[i], mean, stddev)
     old_lp += rng.normal(0.0, jitter, size=n)
     adv = rng.normal(0.0, 1.0, size=n)
     returns = rng.normal(0.0, 2.0, size=n)
@@ -214,21 +212,16 @@ def test_critic_gradients_match_central_differences():
 # --- updates ------------------------------------------------------------------
 
 
-def _transition(net, features, raw, reward, done=True):
-    dist, _ = policy_forward(net, PolicyState(features))
-    return Transition(
-        features=features,
-        raw=raw,
-        reward=reward,
-        done=done,
-        log_prob=gaussian_log_prob(raw, dist.mean, dist.stddev),
-    )
+def _sampled(net, features, raw):
+    """The training record of drawing `raw` in state `features`."""
+    mean, stddev, _ = policy_forward(net, features)
+    return PolicyExtras(features=features, raw=raw, log_prob=gaussian_log_prob(raw, mean, stddev))
 
 
 def test_update_empty_batch_is_noop():
     net, _ = _reduced_net()
     opt = PpoOptimizers.create(net, TrainConfig())
-    stats = ppo_update(net, opt, [], TrainConfig())
+    stats = ppo_update(net, opt, [], [], [], TrainConfig())
     assert stats["n"] == 0
 
 
@@ -236,15 +229,16 @@ def test_update_raises_probability_of_advantaged_action():
     net, cfg = _reduced_net()
     feats = np.random.default_rng(2).random(cfg.state_dim)
     raw = 0.4
-    dist, value = policy_forward(net, PolicyState(feats))
-    tr = _transition(net, feats, raw, reward=value + 1.0)  # advantage +1
-    lp_before = gaussian_log_prob(raw, dist.mean, dist.stddev)
+    mean, stddev, value = policy_forward(net, feats)
+    x = _sampled(net, feats, raw)
+    lp_before = gaussian_log_prob(raw, mean, stddev)
 
     train_cfg = TrainConfig(lr=1e-3, epochs=4)
-    ppo_update(net, PpoOptimizers.create(net, train_cfg), [tr], train_cfg)
+    # Reward value + 1: an advantage of +1.
+    ppo_update(net, PpoOptimizers.create(net, train_cfg), [x], [value + 1.0], [True], train_cfg)
 
-    dist2, _ = policy_forward(net, PolicyState(feats))
-    lp_after = gaussian_log_prob(raw, dist2.mean, dist2.stddev)
+    mean2, stddev2, _ = policy_forward(net, feats)
+    lp_after = gaussian_log_prob(raw, mean2, stddev2)
     assert lp_after > lp_before
 
 
@@ -252,33 +246,18 @@ def test_update_is_deterministic():
     def run():
         net, cfg = _reduced_net(seed=9)
         rng = np.random.default_rng(31)
-        batch = [
-            _transition(net, rng.random(cfg.state_dim), float(rng.normal()), float(rng.normal()), done=(i == 3))
-            for i in range(4)
-        ]
+        batch, rewards = [], []
+        for _ in range(4):
+            batch.append(_sampled(net, rng.random(cfg.state_dim), float(rng.normal())))
+            rewards.append(float(rng.normal()))
         cfg_t = TrainConfig(lr=1e-3)
-        ppo_update(net, PpoOptimizers.create(net, cfg_t), batch, cfg_t)
+        ppo_update(net, PpoOptimizers.create(net, cfg_t), batch, rewards, [False, False, False, True], cfg_t)
         return net
 
     n1, n2 = run(), run()
     for a, b in zip(n1.actor.parameters() + n1.critic.parameters(),
                     n2.actor.parameters() + n2.critic.parameters()):
         assert np.array_equal(a, b)
-
-
-def test_transitions_from_actions_marks_last_done():
-    def extras(i):
-        return PolicyExtras(features=np.zeros(3), raw=float(i), log_prob=-1.0)
-
-    log = ActionLog(policy=[extras(0), None, extras(2)], reward=[1.0, 5.0, 2.0])
-    out = transitions_from_actions(log)
-    assert [t.raw for t in out] == [0.0, 2.0]
-    assert [t.reward for t in out] == [1.0, 2.0]
-    assert [t.done for t in out] == [False, True]
-    # The last transition ends the episode even when a later action has none.
-    out = transitions_from_actions(ActionLog(policy=[extras(0), extras(1), None], reward=[1.0, 5.0, 2.0]))
-    assert [t.done for t in out] == [False, True]
-    assert transitions_from_actions(ActionLog()) == []
 
 
 # --- the training loop ------------------------------------------------------
@@ -295,13 +274,55 @@ def _mini_session_factory(strategy, trace, ep_seed):
 
 
 def _mini_train(episodes=6):
-    from conftest import flat_trace
-
     cfg = PolicyConfig(k=3, hidden_sizes=(8,), include_watch_estimates=False)
     net = MlpNet.create(cfg, seed=17)
     traces = [flat_trace(1.2, "t0"), flat_trace(0.6, "t1")]
     tc = TrainConfig(lr=1e-3, episodes=episodes, batch_episodes=2, epochs=2)
     return train(net, traces, _mini_session_factory, tc, seed=4)
+
+
+def test_train_marks_each_episodes_last_action_done(monkeypatch):
+    """`train` hands `ppo_update` each sampled decision with its reward, and
+    the last one of each episode is done, also when an action without a
+    training record comes between or after them. An episode without one
+    adds nothing."""
+    logs = []
+
+    def session(strategy, trace, key):
+        m = _mini_session_factory(strategy, trace, key)
+        policy, reward = m.actions.policy, m.actions.reward
+        if key[1] == 3:
+            policy[:] = [None] * len(policy)
+        for at in (1, len(policy) + 1):
+            policy.insert(at, None)
+            reward.insert(at, 5.0)
+        logs.append(m.actions)
+        return m
+
+    updates = []
+    real_update = ppo.ppo_update
+
+    def recording_update(net, optimizers, batch, rewards, dones, cfg):
+        updates.append((list(batch), list(rewards), list(dones)))
+        return real_update(net, optimizers, batch, rewards, dones, cfg)
+
+    monkeypatch.setattr(ppo, "ppo_update", recording_update)
+    net = MlpNet.create(PolicyConfig(k=3, hidden_sizes=(8,), include_watch_estimates=False), seed=17)
+    tc = TrainConfig(lr=1e-3, episodes=4, batch_episodes=2, epochs=1)
+    train(net, [flat_trace(1.2, "t0")], session, tc, seed=4)
+
+    # One update after episode 2 and one after episode 4.
+    assert len(updates) == 2
+    for (batch, rewards, dones), episodes in zip(updates, (logs[:2], logs[2:])):
+        want = []
+        for actions in episodes:
+            sampled = [(x, r) for x, r in zip(actions.policy, actions.reward) if x is not None]
+            want += [(x, r, i == len(sampled) - 1) for i, (x, r) in enumerate(sampled)]
+        assert len(batch) == len(want)
+        assert all(x is w for x, (w, _, _) in zip(batch, want))
+        assert rewards == [r for _, r, _ in want]
+        assert dones == [d for _, _, d in want]
+    assert dones[-1] and not any(logs[3].policy)
 
 
 def test_train_zero_episodes_returns_untouched_net():
@@ -366,20 +387,18 @@ class _RolloutCriticStrategy(LearnedRangeStrategy):
         idx = select_video(playlist, dv, b_max_s, min_headroom_s=self.cfg.range_min_s)
         if idx is None:
             return None
-        state = build_state(playlist, idx, q_mbps, rtt_ms, self.cfg)
-        dist, value = policy_forward(self.net, state)
-        action = sample_action(dist, rng, self.cfg)
-        extras = _ValuedExtras(state.features, action.raw, action.log_prob, value)
-        return Decision(index=idx, duration_s=action.duration_s, extras=extras)
+        features = build_state(playlist, idx, q_mbps, rtt_ms, self.cfg)
+        mean, stddev, value = policy_forward(self.net, features)
+        raw = float(rng.normal(mean, stddev))
+        extras = _ValuedExtras(features, raw, gaussian_log_prob(raw, mean, stddev), value)
+        return Decision(index=idx, duration_s=map_to_range(raw, self.cfg), extras=extras)
 
 
-def _reference_update(net, optimizers, batch, values, cfg):
+def _reference_update(net, optimizers, batch, rewards, dones, values, cfg):
     """ppo_update as it was when old values came from the rollouts."""
-    features = np.stack([tr.features for tr in batch])
-    raw = np.array([tr.raw for tr in batch], dtype=np.float64)
-    rewards = [tr.reward for tr in batch]
-    dones = [tr.done for tr in batch]
-    old_log_probs = np.array([tr.log_prob for tr in batch], dtype=np.float64)
+    features = np.stack([x.features for x in batch])
+    raw = np.array([x.raw for x in batch], dtype=np.float64)
+    old_log_probs = np.array([x.log_prob for x in batch], dtype=np.float64)
     old_values = np.array(values, dtype=np.float64)
     returns = discounted_returns(rewards, dones, cfg.discount)
     if cfg.use_gae:
@@ -404,12 +423,15 @@ def _reference_train(net, traces, session_factory, train_cfg, seed):
     optimizers = PpoOptimizers.create(net, train_cfg)
     strategy = _RolloutCriticStrategy("deload-train", net)
     picker = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x7261)))
-    logs, pending, values = [], [], []
+    logs, pending, rewards, dones, values = [], [], [], [], []
     for ep in range(train_cfg.episodes):
         trace = traces[int(picker.integers(len(traces)))]
         metrics = session_factory(strategy, trace, (seed, ep))
-        pending.extend(transitions_from_actions(metrics.actions))
-        values.extend(x.value for x in metrics.actions.policy if x is not None)
+        sampled = [(x, r) for x, r in zip(metrics.actions.policy, metrics.actions.reward) if x is not None]
+        pending += [x for x, _ in sampled]
+        rewards += [r for _, r in sampled]
+        dones += [i == len(sampled) - 1 for i in range(len(sampled))]
+        values += [x.value for x, _ in sampled]
         ranges = metrics.actions.duration_s
         logs.append(
             EpisodeLog(
@@ -422,10 +444,10 @@ def _reference_train(net, traces, session_factory, train_cfg, seed):
         )
         if (ep + 1) % train_cfg.batch_episodes == 0 and pending:
             assert len(values) == len(pending)
-            _reference_update(net, optimizers, pending, values, train_cfg)
-            pending, values = [], []
+            _reference_update(net, optimizers, pending, rewards, dones, values, train_cfg)
+            pending, rewards, dones, values = [], [], [], []
     if pending:
-        _reference_update(net, optimizers, pending, values, train_cfg)
+        _reference_update(net, optimizers, pending, rewards, dones, values, train_cfg)
     return net, logs
 
 
@@ -433,7 +455,6 @@ def _reference_train(net, traces, session_factory, train_cfg, seed):
 def test_train_policy_matches_rollout_critic_reference(monkeypatch, use_gae):
     """16 episodes in two updates give the same net, byte for byte, and the
     same learning curve as rollouts that evaluated the critic themselves."""
-    from conftest import flat_trace
     from swipesim import harness
 
     traces = [flat_trace(0.8, "t0"), flat_trace(2.5, "t1"), flat_trace(6.0, "t2")]

@@ -15,7 +15,6 @@ from swipesim.demand import fitted_survival, uniform_survival
 from swipesim.media import (
     BITS_PER_MEGABIT,
     EPS_S,
-    NetworkSample,
     Playlist,
     RangeSegment,
     Trace,
@@ -35,7 +34,6 @@ from swipesim.policy import (
 from swipesim.ppo import attribute_reward_terms, compute_reward
 from swipesim.sim import (
     ActionLog,
-    BandwidthCursor,
     RetentionSource,
     SessionMetrics,
     SimConfig,
@@ -141,7 +139,7 @@ def test_bounded_history_gives_the_unbounded_estimates(monkeypatch, window):
     monkeypatch.setattr(sim, "estimate_network", checking_estimate)
     metas = [VideoMeta(f"v{i}", 12.0, (0.5, 1.0, 2.0)) for i in range(6)]
     retention = RetentionSource(empirical={m.video_id: [2.5 + 1.5 * i] for i, m in enumerate(metas)})
-    trace = Trace("steps", [NetworkSample(i * 700.0, 0.4 + (i % 4)) for i in range(9)])
+    trace = Trace("steps", [i * 700.0 for i in range(9)], [0.4 + (i % 4) for i in range(9)])
     cfg = SimConfig(videos_per_session=6, throughput_window=window)
     run_session(
         trace, iter(VideoState(meta=m) for m in metas), retention,
@@ -328,15 +326,15 @@ def test_sweep_matches_rescan_on_a_starved_session(monkeypatch):
     assert sum(scanned) <= 2 * len(session.events)
 
 
-# --- cached bandwidth lookup ------------------------------------------------------
+# --- bandwidth stretches ----------------------------------------------------------
 
 
 def _reference_bandwidth_at(trace, t_s):
     """Trace.bandwidth_at as the engine called it on every step: a bisect."""
-    rel = [(s.timestamp_ms - trace.samples[0].timestamp_ms) / 1000.0 for s in trace.samples]
+    rel = [(ts - trace.timestamps_ms[0]) / 1000.0 for ts in trace.timestamps_ms]
     u = t_s % trace.duration_s
     i = max(bisect.bisect_right(rel, u) - 1, 0)
-    return trace.samples[i].bandwidth_mbps
+    return trace.bandwidth_mbps[i]
 
 
 @st.composite
@@ -347,7 +345,7 @@ def traces_and_clocks(draw):
     for _ in range(n - 1):
         stamps.append(stamps[-1] + draw(st.integers(1, 3000)))
     bws = draw(st.lists(st.floats(0.0, 50.0), min_size=n, max_size=n))
-    trace = Trace("h", [NetworkSample(float(ts), bw) for ts, bw in zip(stamps, bws)])
+    trace = Trace("h", [float(ts) for ts in stamps], bws)
     period = trace.duration_s
     rel = [(ts - stamps[0]) / 1000.0 for ts in stamps]
     # Exact sample boundaries and period wraps, free times, and a stepping
@@ -363,17 +361,23 @@ def traces_and_clocks(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(traces_and_clocks())
-@example((Trace("one", [NetworkSample(0.0, 3.0)]), [0.0, 0.5, 1.0, 1.0, 2.5, 3.0]))
-def test_bandwidth_cursor_matches_trace_lookup(case):
+@example((Trace("one", [0.0], [3.0]), [0.0, 0.5, 1.0, 1.0, 2.5, 3.0]))
+def test_segment_at_matches_trace_lookup(case):
+    """The step loop keeps the stretch `segment_at` returned while the
+    clock's offset stays inside it: that stretch holds the offset, and its
+    bandwidth is the bisect lookup's at every time it is kept for."""
     trace, times = case
-    cursor = BandwidthCursor(trace)
-    for t in times:
-        want = _reference_bandwidth_at(trace, t)
-        assert cursor.bandwidth_at(t) == want
-        assert trace.bandwidth_at(t) == want
-    # Any order stays correct; it only falls back to the bisect more often.
-    for t in reversed(times):
-        assert cursor.bandwidth_at(t) == _reference_bandwidth_at(trace, t)
+    period = trace.duration_s
+    # Any order stays correct; it only looks the stretch up more often.
+    for order in (times, times[::-1]):
+        lo = hi = bw = 0.0
+        for t in order:
+            if not lo <= t % period < hi:
+                lo, hi, bw = trace.segment_at(t)
+                assert lo <= t % period < hi
+            want = _reference_bandwidth_at(trace, t)
+            assert bw == want
+            assert trace.bandwidth_at(t) == want
 
 
 # --- the reference engine -------------------------------------------------------
@@ -752,7 +756,7 @@ def _build(case):
         params.setdefault(vid, p)
         if watch is not None:
             empirical.setdefault(vid, [watch])
-    trace = Trace("case", [NetworkSample(float(ms), bw) for ms, bw in samples])
+    trace = Trace("case", [float(ms) for ms, _ in samples], [bw for _, bw in samples])
     if kind == "naive":
         strategy = NaiveFixedStrategy("naive", range_s)
     elif kind in ("fixed", "uniform"):
