@@ -115,11 +115,16 @@ def _resolved_hints(cls):
     return _HINT_CACHE[cls]
 
 
+# libyaml's scanner where PyYAML was built with it: `safe_load`'s documents
+# in a tenth of the time.
+_SAFE_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+
+
 def load_config(path) -> AppConfig:
     """Parse and validate a YAML config file into an AppConfig."""
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh)
+            doc = yaml.load(fh, Loader=_SAFE_LOADER)
     except OSError as err:
         raise ConfigError(f"cannot read config {path}: {err}")
     except yaml.YAMLError as err:

@@ -19,7 +19,8 @@ from typing import Callable, Sequence
 from .media import EPS_S, VideoState
 from .watchtime import weibull_survival
 
-# Probability that the viewer is still watching `video` past media time `x`.
+# Probability that the viewer is still watching `video` past media time `x`:
+# a pure function of `x`, the video's `watch_params` and its fixed `meta`.
 SurvivalFn = Callable[[VideoState, float], float]
 
 
@@ -50,6 +51,23 @@ class DemandVector:
     playing_degenerate: bool = False
 
 
+def edge_survival(video: VideoState, survival: SurvivalFn) -> float:
+    """`survival(video, video.buffered_s)`, memoized on the video.
+
+    The memo is keyed by the survival function, the `watch_params` object
+    and the `buffered_s` float object itself, all by identity: a video whose
+    buffer edge has not moved since the last decision is not evaluated
+    again, and a key that matches holds the same bits, the sign of zero and
+    NaN included.
+    """
+    x = video.buffered_s
+    params = video.watch_params
+    memo = video.edge_survival
+    if memo is None or memo[2] is not x or memo[1] is not params or memo[0] is not survival:
+        memo = video.edge_survival = (survival, params, x, survival(video, x))
+    return memo[3]
+
+
 def demand_playing(video: VideoState, survival: SurvivalFn = fitted_survival) -> tuple[float, bool]:
     """Demand of the playing video: P(T > tau | T > t).
 
@@ -60,8 +78,7 @@ def demand_playing(video: VideoState, survival: SurvivalFn = fitted_survival) ->
     denom = survival(video, video.play_pos_s)
     if denom <= 0.0:
         return 0.0, True
-    num = survival(video, video.buffered_s)
-    return min(num / denom, 1.0), False
+    return min(edge_survival(video, survival) / denom, 1.0), False
 
 
 def compute_demands(
@@ -73,13 +90,13 @@ def compute_demands(
     Demands are non-negative and sum to at most 1; the leftover mass is the
     probability that every queued video gets swiped inside its buffer.
     """
-    if len(playlist) == 0:
+    if not playlist:
         return DemandVector(demands=(), playing_degenerate=False)
     d0, degenerate = demand_playing(playlist[0], survival)
     demands = [d0]
     remaining = 1.0 - d0
-    for video in list(playlist)[1:]:
-        s = survival(video, video.buffered_s)
+    for video in playlist[1:]:
+        s = edge_survival(video, survival)
         demands.append(remaining * s)
         remaining *= 1.0 - s
     return DemandVector(demands=tuple(demands), playing_degenerate=degenerate)
@@ -101,14 +118,19 @@ def select_video(
     room for a task of at least that length; without it, a video hovering
     at the cap soaks up round-trips on near-empty top-ups.
     """
+    cap = b_max_s - min_headroom_s
+    demands = dv.demands
+    skip_playing = dv.playing_degenerate
     best: int | None = None
     for i, video in enumerate(playlist):
-        if i == 0 and dv.playing_degenerate:
+        if i == 0 and skip_playing:
             continue
-        if video.buffer_ahead_s >= b_max_s - min_headroom_s:
+        # buffer_ahead_s and remaining_download_s, each field read once.
+        buffered = video.buffered_s
+        if buffered - video.play_pos_s >= cap:
             continue
-        if video.remaining_download_s <= EPS_S:
+        if video.meta.duration_s - buffered <= EPS_S:
             continue
-        if best is None or dv.demands[i] > dv.demands[best]:
+        if best is None or demands[i] > demands[best]:
             best = i
     return best

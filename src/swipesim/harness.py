@@ -82,29 +82,57 @@ def ingest_traces(pattern: str) -> list[Trace]:
         raise DataError(f"no traces match {pattern!r}")
     traces = []
     for path in paths:
-        stamps: list[float] = []
-        levels: list[float] = []
         with _open_data(path) as fh:
-            for lineno, raw in enumerate(fh, start=1):
-                raw = raw.strip()
-                if not raw:
-                    continue
-                parts = raw.split(",")
-                if len(parts) != 2:
-                    raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
-                try:
-                    ts, bw = float(parts[0]), float(parts[1])
-                except ValueError:
-                    if lineno == 1:
-                        continue  # header
-                    raise DataError(f"{path}:{lineno}: non-numeric fields {raw!r}")
-                stamps.append(ts)
-                levels.append(bw)
+            # Split on "\n" alone, as iterating over the file splits it.
+            lines = fh.read().split("\n")
+        if not lines[-1]:
+            del lines[-1]  # the empty rest after the final newline
+        columns = _trace_columns(lines) or _scan_trace_lines(path, lines)
         try:
-            traces.append(Trace(Path(path).stem, stamps, levels))
+            traces.append(Trace(Path(path).stem, *columns))
         except ValueError as err:
+            _scan_trace_lines(path, lines)  # names the line of a non-finite value
             raise DataError(f"{path}: {err}")
     return traces
+
+
+def _trace_columns(lines: list[str]) -> tuple[list[float], list[float]] | None:
+    """Both columns of a trace file's lines in whole-column passes, or None
+    when a line is not a `timestamp_ms,bandwidth_mbps` pair of numbers: a
+    header, a blank line or a fault, for `_scan_trace_lines` to read."""
+    # A line with no comma or a second one leaves a field `float` rejects.
+    pairs = list(map(str.partition, lines, itertools.repeat(",")))
+    try:
+        stamps = list(map(float, map(operator.itemgetter(0), pairs)))
+        levels = list(map(float, map(operator.itemgetter(2), pairs)))
+    except ValueError:
+        return None
+    return stamps, levels
+
+
+def _scan_trace_lines(path, lines: list[str]) -> tuple[list[float], list[float]]:
+    """Both columns of a trace file, line by line; the first bad line is a
+    DataError naming the file and line."""
+    stamps: list[float] = []
+    levels: list[float] = []
+    for lineno, raw in enumerate(lines, start=1):
+        raw = raw.strip()
+        if not raw:
+            continue
+        parts = raw.split(",")
+        if len(parts) != 2:
+            raise DataError(f"{path}:{lineno}: expected 2 fields, got {len(parts)}")
+        try:
+            ts, bw = float(parts[0]), float(parts[1])
+        except ValueError:
+            if lineno == 1:
+                continue  # header
+            raise DataError(f"{path}:{lineno}: non-numeric fields {raw!r}")
+        if not (math.isfinite(ts) and math.isfinite(bw)):
+            raise DataError(f"{path}:{lineno}: non-finite fields {raw!r}")
+        stamps.append(ts)
+        levels.append(bw)
+    return stamps, levels
 
 
 def _read_rows(path, header: str, parse, empty: str) -> list:

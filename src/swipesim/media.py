@@ -7,6 +7,9 @@ needed to split downloaded bits into watched and wasted at swipe time.
 from __future__ import annotations
 
 import bisect
+import itertools
+import math
+import operator
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Iterator
 
@@ -85,6 +88,9 @@ class VideoState:
     # `policy.build_state`'s memo of this video's clipped watch-time
     # features: (watch_params, e_high, e_low, high / d, low / d).
     watch_features: tuple | None = field(default=None, compare=False, repr=False)
+    # `demand.edge_survival`'s memo of the survival at the buffer edge:
+    # (survival function, watch_params, buffered_s, survival).
+    edge_survival: tuple | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.chosen_bitrate == 0.0:
@@ -149,14 +155,18 @@ class Trace:
             raise ValueError(f"trace {trace_id}: {len(ts)} timestamps but {len(bws)} bandwidths")
         if not ts:
             raise ValueError("trace must have at least one sample")
-        if any(t2 <= t1 for t1, t2 in zip(ts, ts[1:])):
+        # Whole-column passes in C: map over the columns, no generators.
+        if not (all(map(math.isfinite, ts)) and all(map(math.isfinite, bws))):
+            raise ValueError(f"trace {trace_id}: timestamps and bandwidths must be finite")
+        if not all(map(operator.lt, ts, itertools.islice(ts, 1, None))):
             raise ValueError(f"trace {trace_id}: timestamps must be strictly increasing")
-        if any(bw < 0 for bw in bws):
+        if min(bws) < 0:
             raise ValueError(f"trace {trace_id}: bandwidth must be non-negative")
         self.trace_id = trace_id
         self.timestamps_ms = ts
         self.bandwidth_mbps = bws
-        self._rel_s = [(t - ts[0]) / 1000.0 for t in ts]
+        t0 = ts[0]
+        self._rel_s = [(t - t0) / 1000.0 for t in ts]
         if len(ts) >= 2:
             tail = self._rel_s[-1] - self._rel_s[-2]
         else:

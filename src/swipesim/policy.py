@@ -26,6 +26,8 @@ from .watchtime import WeibullParams, weibull_quantile
 
 FIELDS_PER_VIDEO = 6
 LOG_2PI = math.log(2.0 * math.pi)
+# numpy's NPY_LOGE2: what `np.logaddexp(0.0, 0.0)` returns.
+LOG_2 = 0.693147180559945309417232121458176568
 
 # Strategies that act through a trained net; see `baseline_policy`.
 LEARNED_STRATEGIES = ("deload", "deload_no_wte")
@@ -147,6 +149,14 @@ class Mlp:
             self.weights.append(w)
             self.biases.append(np.zeros(n_out, dtype=np.float64))
 
+    @classmethod
+    def from_layers(cls, weights: list[np.ndarray], biases: list[np.ndarray]) -> "Mlp":
+        """A net holding the given layers, with no random draw."""
+        mlp = cls.__new__(cls)
+        mlp.sizes = (weights[0].shape[0], *(w.shape[1] for w in weights))
+        mlp.weights, mlp.biases = list(weights), list(biases)
+        return mlp
+
     @property
     def n_layers(self) -> int:
         return len(self.weights)
@@ -162,13 +172,15 @@ class Mlp:
         """
         h = np.asarray(x, dtype=np.float64)
         vector = h.ndim == 1
+        # `np.dot` of a vector skips the broadcasting `@` sets up.
+        product = np.dot if vector else np.matmul
         cache = [h[None, :] if vector else h]
-        last = self.n_layers - 1
-        for i in range(self.n_layers):
+        last = len(self.weights) - 1
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             # In place: the same IEEE operations as `max(h @ w + b, 0)`
             # without a batch-sized temporary per step.
-            h = np.dot(h, self.weights[i]) if vector else h @ self.weights[i]
-            h += self.biases[i]
+            h = product(h, w)
+            h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
             cache.append(h[None, :] if vector else h)
@@ -211,16 +223,37 @@ class MlpNet:
     critic: Mlp
     cfg: PolicyConfig
 
+    @staticmethod
+    def layer_sizes(cfg: PolicyConfig) -> dict[str, tuple[int, ...]]:
+        """Layer widths of each net: two actor outputs, one critic output."""
+        return {
+            "actor": (cfg.state_dim, *cfg.hidden_sizes, 2),
+            "critic": (cfg.state_dim, *cfg.hidden_sizes, 1),
+        }
+
     @classmethod
     def create(cls, cfg: PolicyConfig, seed: int) -> "MlpNet":
         rng = np.random.default_rng(np.random.SeedSequence(seed))
-        actor = Mlp((cfg.state_dim, *cfg.hidden_sizes, 2), rng, out_scale=0.01)
-        critic = Mlp((cfg.state_dim, *cfg.hidden_sizes, 1), rng, out_scale=1.0)
+        sizes = cls.layer_sizes(cfg)
+        actor = Mlp(sizes["actor"], rng, out_scale=0.01)
+        critic = Mlp(sizes["critic"], rng, out_scale=1.0)
         return cls(actor=actor, critic=critic, cfg=cfg)
 
 
-def softplus(z):
-    return np.logaddexp(0.0, z)
+def softplus(z: float) -> float:
+    """log(1 + e^z) of a float, bit for bit `np.logaddexp(0.0, z)`.
+
+    numpy computes it as `z + log1p(exp(-z))` above zero, `log1p(exp(z))`
+    below, log(2) at zero and `0.0 - z` for NaN; these are the same libm
+    calls on the same arguments, and `exp` only ever sees arguments <= 0.
+    """
+    if z > 0.0:
+        return z + math.log1p(math.exp(-z))
+    if z < 0.0:
+        return math.log1p(math.exp(z))
+    if z == 0.0:
+        return LOG_2
+    return 0.0 - z
 
 
 def actor_distribution(net: MlpNet, features: np.ndarray) -> tuple[float, float]:
@@ -231,8 +264,9 @@ def actor_distribution(net: MlpNet, features: np.ndarray) -> tuple[float, float]
     zero).
     """
     raw, _ = net.actor.forward(features)
-    mean = math.tanh(float(raw[0, 0]))
-    stddev = float(softplus(raw[0, 1]))
+    z_mean, z_std = raw[0].tolist()
+    mean = math.tanh(z_mean)
+    stddev = softplus(z_std)
     if not (math.isfinite(mean) and math.isfinite(stddev)):
         raise FloatingPointError(f"non-finite policy output: mean={mean} stddev={stddev}")
     if not stddev > 0.0:
@@ -333,30 +367,33 @@ def load_checkpoint(path) -> MlpNet:
             include_watch_estimates=bool(int(vals[8])),
             hidden_sizes=hidden,
         )
-        net = MlpNet.create(cfg, seed=0)
+        nets = {}
         idx = 2
-        for name in ("actor", "critic"):
+        for name, sizes in MlpNet.layer_sizes(cfg).items():
             head = lines[idx].split()
-            mlp: Mlp = getattr(net, name)
-            if head[:2] != ["net", name] or int(head[3]) != mlp.n_layers:
-                raise ValueError(f"expected net {name} with {mlp.n_layers} layers")
-            for li in range(mlp.n_layers):
+            n_layers = len(sizes) - 1
+            if head[:2] != ["net", name] or int(head[3]) != n_layers:
+                raise ValueError(f"expected net {name} with {n_layers} layers")
+            weights, biases = [], []
+            for li in range(n_layers):
                 idx += 1
                 n_in = int(lines[idx].split()[2])
                 rows = []
                 for _ in range(n_in):
                     idx += 1
-                    rows.append([float(v) for v in lines[idx].split()])
+                    rows.append(list(map(float, lines[idx].split())))
                 idx += 1
                 w = np.array(rows, dtype=np.float64)
-                b = np.array([float(v) for v in lines[idx].split()], dtype=np.float64)
-                if w.shape != mlp.weights[li].shape or b.shape != mlp.biases[li].shape:
+                b = np.array(list(map(float, lines[idx].split())), dtype=np.float64)
+                if w.shape != sizes[li : li + 2] or b.shape != sizes[li + 1 : li + 2]:
                     raise ValueError(f"{name} layer {li} does not match the config's sizes")
-                mlp.weights[li], mlp.biases[li] = w, b
+                weights.append(w)
+                biases.append(b)
+            nets[name] = Mlp.from_layers(weights, biases)
             idx += 1
     except (ValueError, IndexError) as err:
         raise ValueError(f"{path}:{idx + 1}: malformed checkpoint: {err}") from None
-    return net
+    return MlpNet(cfg=cfg, **nets)
 
 
 # --- strategies ---------------------------------------------------------------
@@ -390,7 +427,8 @@ def naive_select(playlist: Sequence[VideoState], threshold_s: float) -> int | No
     """First video, in playlist order, whose buffer-ahead is below the
     threshold and that still has something to download."""
     for i, v in enumerate(playlist):
-        if v.buffer_ahead_s < threshold_s and v.remaining_download_s > EPS_S:
+        buffered = v.buffered_s
+        if buffered - v.play_pos_s < threshold_s and v.meta.duration_s - buffered > EPS_S:
             return i
     return None
 
@@ -398,6 +436,7 @@ def naive_select(playlist: Sequence[VideoState], threshold_s: float) -> int | No
 class Strategy:
     """Download decision maker: selection rule plus range sizing.
 
+    `decide` gets the playlist's videos as a plain list, index 0 playing.
     `survival` is the watch-time model behind the strategy's demands, None
     when it computes none; `fitted_survival` needs the parameter table.
     `floor_s` is the least room below B_max a video needs before the
@@ -411,7 +450,7 @@ class Strategy:
 
     def decide(
         self,
-        playlist: Sequence[VideoState],
+        videos: list[VideoState],
         q_mbps: float,
         rtt_ms: float,
         b_max_s: float,
@@ -430,9 +469,9 @@ class FixedRangeStrategy(Strategy):
         self.duration_s = duration_s
         self.survival = survival
 
-    def decide(self, playlist, q_mbps, rtt_ms, b_max_s, rng):
-        dv = compute_demands(playlist, self.survival)
-        idx = select_video(playlist, dv, b_max_s, min_headroom_s=self.floor_s)
+    def decide(self, videos, q_mbps, rtt_ms, b_max_s, rng):
+        dv = compute_demands(videos, self.survival)
+        idx = select_video(videos, dv, b_max_s, min_headroom_s=self.floor_s)
         if idx is None:
             return None
         return Decision(index=idx, duration_s=self.duration_s)
@@ -445,8 +484,8 @@ class NaiveFixedStrategy(Strategy):
         self.name = name
         self.duration_s = duration_s
 
-    def decide(self, playlist, q_mbps, rtt_ms, b_max_s, rng):
-        idx = naive_select(playlist, b_max_s)
+    def decide(self, videos, q_mbps, rtt_ms, b_max_s, rng):
+        idx = naive_select(videos, b_max_s)
         if idx is None:
             return None
         return Decision(index=idx, duration_s=self.duration_s)
@@ -475,12 +514,12 @@ class LearnedRangeStrategy(Strategy):
             fitted_survival if self.cfg.include_watch_estimates else uniform_survival
         )
 
-    def decide(self, playlist, q_mbps, rtt_ms, b_max_s, rng):
-        dv = compute_demands(playlist, self.survival)
-        idx = select_video(playlist, dv, b_max_s, min_headroom_s=self.floor_s)
+    def decide(self, videos, q_mbps, rtt_ms, b_max_s, rng):
+        dv = compute_demands(videos, self.survival)
+        idx = select_video(videos, dv, b_max_s, min_headroom_s=self.floor_s)
         if idx is None:
             return None
-        features = build_state(playlist, idx, q_mbps, rtt_ms, self.cfg)
+        features = build_state(videos, idx, q_mbps, rtt_ms, self.cfg)
         mean, stddev = actor_distribution(self.net, features)
         if self.deterministic:
             return Decision(index=idx, duration_s=map_to_range(mean, self.cfg))

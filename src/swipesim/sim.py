@@ -281,17 +281,27 @@ class _Session:
         """Ask the strategy for a task at time `t`; None means pause."""
         cfg = self.config
         q, rtt_est = estimate_network(self.history, cfg)
-        decision = self.strategy.decide(self.playlist, q, rtt_est, cfg.b_max_s, self.action_rng)
+        videos = self.playlist.videos
+        decision = self.strategy.decide(videos, q, rtt_est, cfg.b_max_s, self.action_rng)
         if decision is None:
             return None
-        video = self.playlist[decision.index]
-        bitrate = abr_select(video.meta.bitrate_ladder, q, cfg.abr_safety)
-        headroom = cfg.b_max_s - video.buffer_ahead_s
-        duration = min(decision.duration_s, video.remaining_download_s, headroom)
+        video = videos[decision.index]
+        meta = video.meta
+        buffered = video.buffered_s
+        bitrate = abr_select(meta.bitrate_ladder, q, cfg.abr_safety)
+        # min(duration, remaining download, headroom below B_max), written as
+        # the comparisons that return the operand `min` returns.
+        duration = decision.duration_s
+        remaining = meta.duration_s - buffered
+        if remaining < duration:
+            duration = remaining
+        headroom = cfg.b_max_s - (buffered - video.play_pos_s)
+        if headroom < duration:
+            duration = headroom
         if duration <= 0.0:
             # Nothing sensible to request; treat like an empty selection.
             return None
-        segment = RangeSegment(start_s=video.buffered_s, bitrate_mbps=bitrate)
+        segment = RangeSegment(start_s=buffered, bitrate_mbps=bitrate)
         video.segments.append(segment)
         video.chosen_bitrate = bitrate
         draws = self.rtt_draws
@@ -307,7 +317,7 @@ class _Session:
         actions.bitrate_mbps.append(bitrate)
         actions.q_mbps.append(q)
         actions.policy.append(decision.extras)
-        return DownloadTask(video, segment, duration, video.meta.range_bits(duration, bitrate), t, rtt_s)
+        return DownloadTask(video, segment, duration, meta.range_bits(duration, bitrate), t, rtt_s)
 
     def _cancel_task(self, task: DownloadTask, got: float, end_wall: float) -> None:
         """Close `task` with `got` of its bits delivered."""

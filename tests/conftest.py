@@ -3,9 +3,13 @@
 from __future__ import annotations
 
 import math
+import os
 
 import numpy as np
+import pytest
+from hypothesis import settings
 
+from swipesim.cli import main as cli_main
 from swipesim.media import (
     BITS_PER_MEGABIT,
     RangeSegment,
@@ -14,6 +18,13 @@ from swipesim.media import (
     VideoState,
 )
 from swipesim.watchtime import WeibullParams
+
+# CI selects `ci` (HYPOTHESIS_PROFILE=ci): a failing example is printed with
+# the blob that replays it, so a bit-identity failure on a Python version
+# that is not at hand can be reproduced. Example counts and deadlines stay
+# each test's own.
+settings.register_profile("ci", print_blob=True)
+settings.load_profile(os.environ.get("HYPOTHESIS_PROFILE", "default"))
 
 
 def make_video(
@@ -127,3 +138,42 @@ def max_rel_grad_error(mlp, loss_fn, eps: float = 1e-5) -> float:
                 continue
             worst = max(worst, abs(a - fd) / denom)
     return worst
+
+
+# --- the CLI pipeline's tiny suite ---------------------------------------------
+
+TINY_CONFIG = """\
+seed: 3
+strategies: [deload, deload_1s, naive_1s]
+sim:
+  videos_per_session: 4
+  max_session_s: 60.0
+train:
+  lr: 0.0003
+  episodes: 4
+  batch_episodes: 2
+paths:
+  traces_glob: traces/*.csv
+  videos: videos.csv
+  retention: retention_params.csv
+  watch_records: watch_records.csv
+  param_table: param_table.csv
+  checkpoint: checkpoints/deload.ckpt
+"""
+
+
+@pytest.fixture(scope="module")
+def pipeline(tmp_path_factory):
+    """A tiny suite through `gen-synthetic`, `fit`, `train` and `simulate`:
+    (suite root, config path, run directory)."""
+    root = tmp_path_factory.mktemp("suite")
+    rc = cli_main(["gen-synthetic", "--out", str(root), "--seed", "3",
+                   "--traces", "6", "--videos", "8"])
+    assert rc == 0
+    cfg = root / "tiny.yaml"
+    cfg.write_text(TINY_CONFIG)
+    assert cli_main(["fit", "--config", str(cfg)]) == 0
+    assert cli_main(["train", "--config", str(cfg)]) == 0
+    run1 = root / "run1"
+    assert cli_main(["simulate", "--config", str(cfg), "--out", str(run1)]) == 0
+    return root, cfg, run1

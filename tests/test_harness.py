@@ -6,11 +6,13 @@ import re
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from conftest import flat_trace
 from swipesim import harness
@@ -34,6 +36,7 @@ from swipesim.harness import (
     session_record,
     write_report,
 )
+from swipesim.media import Trace
 from swipesim.policy import LearnedRangeStrategy, MlpNet, PolicyConfig, save_checkpoint
 from swipesim.sim import ActionLog, SessionMetrics
 from swipesim.watchtime import WeibullParams
@@ -71,6 +74,62 @@ def test_ingest_traces_bad_rows_name_the_line(tmp_path):
     p.write_text("0,1.0\nabc,def\n")
     with pytest.raises(DataError, match=r"t\.csv:2"):
         ingest_traces(str(p))
+
+
+def _line_by_line_ingest(path):
+    """`ingest_traces` of one file as it read every file before its
+    whole-column parse: the columns of the Trace it builds, or the
+    DataError's text."""
+    stamps, levels = [], []
+    with open(path) as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            raw = raw.strip()
+            if not raw:
+                continue
+            parts = raw.split(",")
+            if len(parts) != 2:
+                return f"{path}:{lineno}: expected 2 fields, got {len(parts)}"
+            try:
+                ts, bw = float(parts[0]), float(parts[1])
+            except ValueError:
+                if lineno == 1:
+                    continue  # header
+                return f"{path}:{lineno}: non-numeric fields {raw!r}"
+            stamps.append(ts)
+            levels.append(bw)
+    try:
+        trace = Trace(Path(path).stem, stamps, levels)
+    except ValueError as err:
+        return f"{path}: {err}"
+    return trace.timestamps_ms, trace.bandwidth_mbps
+
+
+_trace_lines = st.one_of(
+    st.tuples(st.integers(0, 9), st.sampled_from(["1.5", " 2", "0", "7e-1 ", "-1", "x", ""])).map(
+        lambda p: f"{p[0] * 1000},{p[1]}"
+    ),
+    st.sampled_from(["timestamp_ms,bandwidth_mbps", "", "  ", "\t", "5000", "5000,1,2", ",", "6000 ,1.0", "1,2 3,4"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(lines=st.lists(_trace_lines, max_size=8), final_newline=st.booleans())
+@example(lines=["timestamp_ms,bandwidth_mbps", "0,1.5", "1000,2.5"], final_newline=True)
+@example(lines=["0,1.5", "", "1000,2.5"], final_newline=False)
+@example(lines=["1,2 3,4"], final_newline=True)
+def test_ingest_traces_matches_the_line_by_line_reader(lines, final_newline):
+    """Whole-column parsing gives the columns, or the DataError text with
+    its file and line, that reading line by line gives."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "t.csv"
+        path.write_text("\n".join(lines) + ("\n" if final_newline else ""))
+        want = _line_by_line_ingest(path)
+        try:
+            trace = ingest_traces(str(path))[0]
+        except DataError as err:
+            assert str(err) == want
+        else:
+            assert (trace.timestamps_ms, trace.bandwidth_mbps) == want
 
 
 # --- catalog and watch records ---------------------------------------------
@@ -419,41 +478,7 @@ def test_emit_plots_data(tmp_path):
         assert total == 20  # every action in exactly one tercile bin
 
 
-# --- CLI pipeline --------------------------------------------------------------
-
-TINY_CONFIG = """\
-seed: 3
-strategies: [deload, deload_1s, naive_1s]
-sim:
-  videos_per_session: 4
-  max_session_s: 60.0
-train:
-  lr: 0.0003
-  episodes: 4
-  batch_episodes: 2
-paths:
-  traces_glob: traces/*.csv
-  videos: videos.csv
-  retention: retention_params.csv
-  watch_records: watch_records.csv
-  param_table: param_table.csv
-  checkpoint: checkpoints/deload.ckpt
-"""
-
-
-@pytest.fixture(scope="module")
-def pipeline(tmp_path_factory):
-    root = tmp_path_factory.mktemp("suite")
-    rc = cli_main(["gen-synthetic", "--out", str(root), "--seed", "3",
-                   "--traces", "6", "--videos", "8"])
-    assert rc == 0
-    cfg = root / "tiny.yaml"
-    cfg.write_text(TINY_CONFIG)
-    assert cli_main(["fit", "--config", str(cfg)]) == 0
-    assert cli_main(["train", "--config", str(cfg)]) == 0
-    run1 = root / "run1"
-    assert cli_main(["simulate", "--config", str(cfg), "--out", str(run1)]) == 0
-    return root, cfg, run1
+# --- CLI pipeline (the `pipeline` fixture is in conftest.py) ----------------------
 
 
 def test_cli_generates_suite_files(pipeline):
@@ -747,6 +772,10 @@ def _corrupt_checkpoint(root, tmp_path):
         ("simulate", "checkpoint", (b"rangenet-v1\n\xff\n", None)),
         # A stale table with `user` rows: re-run `fit`.
         ("simulate", "param_table", ("video,v0,1.0,2.0,0.0,10,0.9\nuser,u0000,1.0,2.0,0.0,40,0.9\n", 2)),
+        # Traces with a non-finite bandwidth or timestamp.
+        ("simulate", "traces_glob", ("0,1.5\n1000,nan\n2000,1.5\n", 2)),
+        ("simulate", "traces_glob", ("0,1.5\nnan,2.0\n", 2)),
+        ("simulate", "traces_glob", ("0,1.5\n1000,inf\n", 2)),
     ],
 )
 def test_cli_bad_input_files_exit_2_naming_them(pipeline, tmp_path, capsys, command, key, content):

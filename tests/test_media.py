@@ -178,6 +178,22 @@ def test_trace_rejects_non_monotone_and_negative():
         Trace("t", [0.0, 1000.0], [1.0])
 
 
+@pytest.mark.parametrize(
+    "stamps, levels",
+    [
+        ([0.0, 1000.0], [1.0, math.nan]),
+        ([0.0, math.nan], [1.0, 2.0]),
+        ([math.nan], [1.0]),
+        ([0.0, 1000.0], [1.0, math.inf]),
+        ([0.0, math.inf], [1.0, 2.0]),
+        ([-math.inf, 0.0], [1.0, 2.0]),
+    ],
+)
+def test_trace_rejects_non_finite_values(stamps, levels):
+    with pytest.raises(ValueError, match="finite"):
+        Trace("t", stamps, levels)
+
+
 def test_trace_piecewise_lookup_and_cycle():
     tr = Trace("t", [0.0, 1000.0, 2000.0], [1.0, 2.0, 3.0])
     assert tr.duration_s == 3.0

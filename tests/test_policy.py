@@ -450,6 +450,37 @@ def test_softplus_stable_at_extremes():
     assert softplus(800.0) == pytest.approx(800.0)
 
 
+def _assert_softplus_is_logaddexp(z: float) -> None:
+    got, want = softplus(z), float(np.logaddexp(0.0, z))
+    assert type(got) is float
+    if math.isnan(want):
+        assert math.isnan(got)
+    else:
+        assert got.hex() == want.hex(), z
+
+
+@settings(max_examples=2000, deadline=None)
+@given(
+    st.floats(allow_nan=True, allow_infinity=True)
+    | st.floats(-40.0, 40.0)
+    | st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, -2.2e-308, 1e-17, -1e-17,
+                       36.7, 37.0, -745.0, -745.2, 745.0, 709.8, -709.8, math.inf, -math.inf])
+)
+def test_scalar_softplus_is_numpys_logaddexp(z):
+    """The actor's stddev head on a Python float gives the bits of
+    `np.logaddexp(0.0, z)`; NaN gives NaN."""
+    _assert_softplus_is_logaddexp(z)
+
+
+def test_scalar_softplus_is_numpys_logaddexp_on_a_sweep():
+    """100,000 values at every scale an actor output can take."""
+    rng = np.random.default_rng(15)
+    zs = rng.normal(size=50_000) * np.exp(rng.uniform(-40.0, 7.0, size=50_000))
+    zs = np.concatenate([zs, rng.uniform(-1.0, 1.0, size=50_000)])
+    for z in zs.tolist():
+        _assert_softplus_is_logaddexp(z)
+
+
 # --- action mapping -----------------------------------------------------------
 
 

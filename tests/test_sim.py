@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from conftest import buffer_to, flat_trace, make_video, random_session_inputs, run_random_session
 from swipesim import sim
-from swipesim.demand import fitted_survival, uniform_survival
+from swipesim.demand import DemandVector, compute_demands, fitted_survival, uniform_survival
 from swipesim.media import (
     BITS_PER_MEGABIT,
     EPS_S,
@@ -28,8 +28,12 @@ from swipesim.policy import (
     MlpNet,
     NaiveFixedStrategy,
     PolicyConfig,
+    Decision,
     PolicyExtras,
     Strategy,
+    build_state,
+    gaussian_log_prob,
+    map_to_range,
 )
 from swipesim.ppo import attribute_reward_terms, compute_reward
 from swipesim.sim import (
@@ -667,6 +671,115 @@ class _ScalarDrawSession(_PerStepSession):
         return float(self.rtt_rng.uniform(self.config.rtt_min_ms, self.config.rtt_max_ms))
 
 
+# --- the reference decision path ---------------------------------------------------
+#
+# The strategies' decision path as it was before strategies took the video
+# list, each video memoized its survival at the buffer edge and the actor
+# heads ran on Python floats: every survival evaluated on every call, every
+# field read through its property, softplus as numpy's `logaddexp` and the
+# 1-D actor forward as vector products. The reference engine's strategies
+# decide through it, so the engine tests below compare the library's whole
+# decision path with it bit for bit.
+
+
+def _ref_demand_playing(video, survival):
+    denom = survival(video, video.play_pos_s)
+    if denom <= 0.0:
+        return 0.0, True
+    num = survival(video, video.buffered_s)
+    return min(num / denom, 1.0), False
+
+
+def _ref_compute_demands(playlist, survival):
+    if len(playlist) == 0:
+        return DemandVector(demands=(), playing_degenerate=False)
+    d0, degenerate = _ref_demand_playing(playlist[0], survival)
+    demands = [d0]
+    remaining = 1.0 - d0
+    for video in list(playlist)[1:]:
+        s = survival(video, video.buffered_s)
+        demands.append(remaining * s)
+        remaining *= 1.0 - s
+    return DemandVector(demands=tuple(demands), playing_degenerate=degenerate)
+
+
+def _ref_select_video(playlist, dv, b_max_s, min_headroom_s=0.0):
+    best = None
+    for i, video in enumerate(playlist):
+        if i == 0 and dv.playing_degenerate:
+            continue
+        if video.buffer_ahead_s >= b_max_s - min_headroom_s:
+            continue
+        if video.remaining_download_s <= EPS_S:
+            continue
+        if best is None or dv.demands[i] > dv.demands[best]:
+            best = i
+    return best
+
+
+def _ref_naive_select(playlist, threshold_s):
+    for i, v in enumerate(playlist):
+        if v.buffer_ahead_s < threshold_s and v.remaining_download_s > EPS_S:
+            return i
+    return None
+
+
+def _ref_forward(mlp, x):
+    """`Mlp.forward` of a single state: vector products, a row back."""
+    h = np.asarray(x, dtype=np.float64)
+    last = mlp.n_layers - 1
+    for i in range(mlp.n_layers):
+        h = np.dot(h, mlp.weights[i])
+        h += mlp.biases[i]
+        if i < last:
+            np.maximum(h, 0.0, out=h)
+    return h[None, :]
+
+
+def _ref_actor_distribution(net, features):
+    raw = _ref_forward(net.actor, features)
+    mean = math.tanh(float(raw[0, 0]))
+    stddev = float(np.logaddexp(0.0, raw[0, 1]))
+    if not (math.isfinite(mean) and math.isfinite(stddev)):
+        raise FloatingPointError(f"non-finite policy output: mean={mean} stddev={stddev}")
+    if not stddev > 0.0:
+        raise FloatingPointError(f"policy stddev must be positive, got {stddev}")
+    return mean, stddev
+
+
+class _RefFixed(FixedRangeStrategy):
+    def decide(self, playlist, q_mbps, rtt_ms, b_max_s, rng):
+        dv = _ref_compute_demands(playlist, self.survival)
+        idx = _ref_select_video(playlist, dv, b_max_s, min_headroom_s=self.floor_s)
+        if idx is None:
+            return None
+        return Decision(index=idx, duration_s=self.duration_s)
+
+
+class _RefNaive(NaiveFixedStrategy):
+    def decide(self, playlist, q_mbps, rtt_ms, b_max_s, rng):
+        idx = _ref_naive_select(playlist, b_max_s)
+        if idx is None:
+            return None
+        return Decision(index=idx, duration_s=self.duration_s)
+
+
+class _RefLearned(LearnedRangeStrategy):
+    def decide(self, playlist, q_mbps, rtt_ms, b_max_s, rng):
+        dv = _ref_compute_demands(playlist, self.survival)
+        idx = _ref_select_video(playlist, dv, b_max_s, min_headroom_s=self.floor_s)
+        if idx is None:
+            return None
+        features = build_state(playlist, idx, q_mbps, rtt_ms, self.cfg)
+        mean, stddev = _ref_actor_distribution(self.net, features)
+        if self.deterministic:
+            return Decision(index=idx, duration_s=map_to_range(mean, self.cfg))
+        raw = float(rng.normal(mean, stddev))
+        duration_s = map_to_range(raw, self.cfg)
+        extras = PolicyExtras(features=features, raw=raw, log_prob=gaussian_log_prob(raw, mean, stddev))
+        return Decision(index=idx, duration_s=duration_s, extras=extras)
+
+
 def _logs(session: sim._Session) -> dict:
     m = session.metrics
     return {
@@ -691,13 +804,14 @@ def _assert_sessions_match(got: sim._Session, want: _PerStepSession) -> None:
 
 def _exact(x):
     """`x` with every float as its hex string and every array as its bytes,
-    so equality is bit equality: `==`, plus the sign of zero."""
+    so equality is bit equality: `==`, plus the sign of zero. Dataclass
+    fields left out of `==` (a video's memos) are left out here too."""
     if isinstance(x, float):
         return x.hex()
     if isinstance(x, np.ndarray):
         return x.dtype.str, x.shape, x.tobytes()
     if dataclasses.is_dataclass(x):
-        return type(x).__name__, [(f.name, _exact(getattr(x, f.name))) for f in dataclasses.fields(x)]
+        return type(x).__name__, [(f.name, _exact(getattr(x, f.name))) for f in dataclasses.fields(x) if f.compare]
     if isinstance(x, (list, tuple)):
         return [_exact(v) for v in x]
     return x
@@ -747,7 +861,9 @@ def engine_cases(draw):
     return videos, samples, config, strategy, range_s, draw(st.integers(0, 2**32))
 
 
-def _build(case):
+def _build(case, reference=False):
+    """Fresh `run_session` arguments of `case`; with `reference`, its
+    strategy decides through the reference decision path."""
     videos, samples, config, kind, range_s, seed = case
     states, empirical, params = [], {}, {}
     for vid, duration, ladder, watch, wp in videos:
@@ -758,13 +874,14 @@ def _build(case):
             empirical.setdefault(vid, [watch])
     trace = Trace("case", [float(ms) for ms, _ in samples], [bw for _, bw in samples])
     if kind == "naive":
-        strategy = NaiveFixedStrategy("naive", range_s)
+        strategy = (_RefNaive if reference else NaiveFixedStrategy)("naive", range_s)
     elif kind in ("fixed", "uniform"):
         survival = uniform_survival if kind == "uniform" else fitted_survival
-        strategy = FixedRangeStrategy(kind, range_s, survival=survival)
+        strategy = (_RefFixed if reference else FixedRangeStrategy)(kind, range_s, survival=survival)
     else:
         net = MlpNet.create(PolicyConfig(k=3, include_watch_estimates=kind != "learned_no_wte"), seed=seed % 97)
-        strategy = LearnedRangeStrategy(kind, net, deterministic=kind == "learned_mean")
+        learned = _RefLearned if reference else LearnedRangeStrategy
+        strategy = learned(kind, net, deterministic=kind == "learned_mean")
     retention = RetentionSource(empirical=empirical, params=params)
     return trace, iter(states), retention, strategy, SimConfig(**config), seed
 
@@ -790,6 +907,89 @@ def test_fused_step_loop_matches_on_random_sessions(case_seed):
     reference = _PerStepSession(*random_session_inputs(case_seed))
     fused.run(), reference.run()
     _assert_sessions_match(fused, reference)
+
+
+STRATEGY_KINDS = ["naive", "fixed", "uniform", "learned", "learned_no_wte", "learned_mean"]
+
+
+@settings(max_examples=400, deadline=None)
+@given(engine_cases())
+# a learned policy sampling its ranges over a queue of three
+@example(([("v0", 9.5, (0.5, 1.0), None, (1.5, 6.0, 0.0)), ("v1", 9.5, (1.0,), 9.5, (1.0, 5.0, 0.0)),
+           ("v2", 2.0, (1.0,), 2.0, (2.0, 1.0, 0.0))],
+          [(0, 2.0), (700, 0.3)], dict(videos_per_session=3), "learned", 1.0, 5))
+# viewers who watch to the end of videos whose survival underflows to 0 a
+# fraction of a second in: every eligible video's demand ties at 0
+@example(([(f"v{i}", 9.5, (1.0,), 9.5, (3.0, 0.05, 0.0)) for i in range(4)],
+          [(0, 6.0)], dict(videos_per_session=4, queue_depth=4, b_max_s=12.0), "fixed", 1.0, 3))
+def test_decision_path_matches_the_reference(case):
+    got = sim._Session(*_build(case))
+    want = _PerStepSession(*_build(case, reference=True))
+    got.run(), want.run()
+    _assert_sessions_match(got, want)
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+def test_decision_path_matches_the_reference_on_long_sessions(kind):
+    """Every strategy kind over 60 to 190 decisions, with stalls, swipes
+    mid-download and buffers at the cap."""
+    videos = [(f"v{i}", 6.0 + i % 5, (0.5, 1.0, 2.5), (None, 3.0, 12.0)[i % 3], (1.2, 5.0 + i, 0.0))
+              for i in range(20)]
+    case = (videos, [(0, 0.4), (1500, 3.0), (2500, 0.0), (3000, 9.0)],
+            dict(videos_per_session=20, b_max_s=6.0, queue_depth=4), kind, 0.7, 23)
+    got = sim._Session(*_build(case))
+    want = _PerStepSession(*_build(case, reference=True))
+    got.run(), want.run()
+    assert len(got.metrics.actions) > 60
+    _assert_sessions_match(got, want)
+
+
+def _sign_aware_survival(video, x):
+    """A survival that tells -0.0 from 0.0."""
+    s = fitted_survival(video, abs(x))
+    return 0.5 * s if math.copysign(1.0, x) < 0.0 else s
+
+
+SURVIVALS = {"fitted": fitted_survival, "uniform": uniform_survival, "signed": _sign_aware_survival}
+_memo_ops = st.one_of(
+    st.tuples(st.just("edge"), st.integers(0, 2), st.sampled_from([0.0, -0.0, 1.5, 30.0]) | st.floats(0.0, 40.0)),
+    st.tuples(st.just("play"), st.integers(0, 2), st.sampled_from([0.0, -0.0]) | st.floats(0.0, 40.0)),
+    st.tuples(st.just("params"), st.integers(0, 2), st.tuples(st.floats(0.5, 3.0), st.floats(0.5, 30.0),
+                                                               st.sampled_from([0.0, 2.0]))),
+    st.tuples(st.just("survival"), st.sampled_from(sorted(SURVIVALS)), st.none()),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_memo_ops, max_size=25))
+# a new params object at an unmoved edge
+@example([("params", 1, (1.0, 5.0, 0.0)), ("edge", 1, 2.0), ("params", 1, (2.0, 9.0, 0.0))])
+# an edge moves from 0.0 to -0.0 and back, playing and queued
+@example([("survival", "signed", None), ("edge", 2, 0.0), ("edge", 2, -0.0), ("edge", 2, 0.0)])
+@example([("survival", "signed", None), ("edge", 0, 0.0), ("edge", 0, -0.0), ("edge", 0, 0.0)])
+# another survival function at unmoved edges
+@example([("edge", 1, 3.0), ("survival", "uniform", None), ("survival", "fitted", None)])
+def test_survival_memo_matches_evaluating_every_edge(ops):
+    """`compute_demands` with its per-video memo equals the memo-free
+    reference, bit for bit, after every change of an edge, a playhead, a
+    video's params object or the survival function."""
+    videos = [make_video(f"m{i}", 30.0, params=WeibullParams(1.5, 8.0 + i, 0.0)) for i in range(3)]
+    # Demand left over for the queue: the playing video's buffer runs ahead.
+    videos[0].buffered_s = 10.0
+    survival = fitted_survival
+    for op, arg, value in [("survival", "fitted", None), *ops]:
+        if op == "survival":
+            survival = SURVIVALS[arg]
+        elif op == "edge":
+            videos[arg].buffered_s = value
+        elif op == "play":
+            videos[arg].play_pos_s = value
+        else:
+            videos[arg].watch_params = WeibullParams(*value)
+        got = compute_demands(videos, survival)
+        want = _ref_compute_demands(videos, survival)
+        assert [d.hex() for d in got.demands] == [d.hex() for d in want.demands]
+        assert got.playing_degenerate == want.playing_degenerate
 
 
 # --- block-drawn latencies ------------------------------------------------------------
