@@ -172,14 +172,13 @@ class Mlp:
         """
         h = np.asarray(x, dtype=np.float64)
         vector = h.ndim == 1
-        # `np.dot` of a vector skips the broadcasting `@` sets up.
-        product = np.dot if vector else np.matmul
         cache = [h[None, :] if vector else h]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             # In place: the same IEEE operations as `max(h @ w + b, 0)`
-            # without a batch-sized temporary per step.
-            h = product(h, w)
+            # without a batch-sized temporary per step. A vector's product
+            # is `ndarray.dot`, the gemv of `np.dot` without its dispatch.
+            h = h.dot(w) if vector else h @ w
             h += b
             if i < last:
                 np.maximum(h, 0.0, out=h)
@@ -259,14 +258,23 @@ def softplus(z: float) -> float:
 def actor_distribution(net: MlpNet, features: np.ndarray) -> tuple[float, float]:
     """The actor's Gaussian over the raw action for one state: (mean, stddev).
 
-    Runs the actor alone. Raises FloatingPointError on a non-finite output
-    or a stddev that is not positive (softplus underflows to 0.0 far below
-    zero).
+    Runs the actor alone, as `Mlp.forward` of the vector would, without the
+    cache a decision never reads: the same products, in-place bias adds and
+    ReLUs, with the output layer's two bias adds made on Python floats,
+    the same IEEE additions. Raises FloatingPointError on a non-finite
+    output or a stddev that is not positive (softplus underflows to 0.0 far
+    below zero).
     """
-    raw, _ = net.actor.forward(features)
-    z_mean, z_std = raw[0].tolist()
-    mean = math.tanh(z_mean)
-    stddev = softplus(z_std)
+    actor = net.actor
+    h = np.asarray(features, dtype=np.float64)
+    for w, b in zip(actor.weights[:-1], actor.biases[:-1]):
+        h = h.dot(w)
+        h += b
+        np.maximum(h, 0.0, out=h)
+    z_mean, z_std = h.dot(actor.weights[-1]).tolist()
+    b_mean, b_std = actor.biases[-1].tolist()
+    mean = math.tanh(z_mean + b_mean)
+    stddev = softplus(z_std + b_std)
     if not (math.isfinite(mean) and math.isfinite(stddev)):
         raise FloatingPointError(f"non-finite policy output: mean={mean} stddev={stddev}")
     if not stddev > 0.0:

@@ -527,6 +527,26 @@ def test_sample_action_reproducible_and_consistent():
     assert x1.log_prob == gaussian_log_prob(x1.raw, mean, stddev)
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    state=st.lists(st.floats(0.0, 1.0) | st.sampled_from([0.0, -0.0, 1.0]), min_size=33, max_size=33),
+    seed=st.integers(0, 2**16),
+    bias=st.sampled_from([0.0, -0.25, -1e3]),
+    out_bias=st.tuples(st.floats(-40.0, 40.0), st.floats(-40.0, 40.0)),
+)
+def test_actor_distribution_is_the_heads_of_the_forward(state, seed, bias, out_bias):
+    """A decision's cache-free actor pass gives the bits of `Mlp.forward`
+    of the state as a row, through `math.tanh` and `np.logaddexp`."""
+    net = MlpNet.create(PolicyConfig(), seed=seed)
+    # Exact zeros behind half the first layer's ReLUs (all of them at -1e3).
+    net.actor.biases[0][: net.actor.sizes[1] // 2] = bias
+    net.actor.biases[-1][:] = out_bias
+    x = np.array(state, dtype=np.float64)
+    raw, _ = net.actor.forward(x[None, :])
+    want = (math.tanh(float(raw[0, 0])), float(np.logaddexp(0.0, raw[0, 1])))
+    assert [v.hex() for v in actor_distribution(net, x)] == [v.hex() for v in want]
+
+
 def test_distribution_rejects_bad_stddev():
     # softplus underflows to 0.0 far below zero: no density to sample from.
     cfg = PolicyConfig(k=2, hidden_sizes=(8,))
