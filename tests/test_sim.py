@@ -23,12 +23,12 @@ from swipesim.media import (
     swipe,
 )
 from swipesim.policy import (
+    Decision,
     FixedRangeStrategy,
     LearnedRangeStrategy,
     MlpNet,
     NaiveFixedStrategy,
     PolicyConfig,
-    Decision,
     PolicyExtras,
     Strategy,
     build_state,
