@@ -125,7 +125,7 @@ def select_video(
     for i, video in enumerate(playlist):
         if i == 0 and skip_playing:
             continue
-        # buffer_ahead_s and remaining_download_s, each field read once.
+        # Buffer ahead of the playhead and media left to fetch, each field read once.
         buffered = video.buffered_s
         if buffered - video.play_pos_s >= cap:
             continue

@@ -10,7 +10,6 @@ equal runs produce byte-identical files.
 from __future__ import annotations
 
 import contextlib
-import csv
 import ctypes
 import functools
 import glob as globmod
@@ -239,17 +238,32 @@ class ExperimentSpec:
     jobs: int = 1
 
 
-def _no_actions(dtype=np.float64) -> np.ndarray:
-    return np.empty(0, dtype=dtype)
+# report.csv's columns in file order: each a RunRecord field of that name,
+# with the parser `load_report` reads it with.
+REPORT_COLUMNS = (
+    ("strategy", str), ("trace_id", str), ("trace_mean_mbps", float), ("qoe", float),
+    ("qoe_norm", float), ("rebuffer_s", float), ("downloaded_bits", float),
+    ("watched_bits", float), ("wasted_bits", float), ("waste_ratio", float),
+    ("n_actions", int), ("n_swipes", int), ("mean_range_s", float),
+)
+# actions.csv's columns after `strategy,trace_id`, in file order: each an
+# ActionLog field and a key of `RunRecord.actions`, with its parser, which
+# is also the column's array dtype.
+ACTION_COLUMNS = (
+    ("issued_at_s", float), ("video_index", int), ("duration_s", float),
+    ("bitrate_mbps", float), ("q_mbps", float), ("reward", float),
+)
+_REPORT_HEADER = ",".join(name for name, _ in REPORT_COLUMNS)
+_ACTIONS_HEADER = "strategy,trace_id," + ",".join(name for name, _ in ACTION_COLUMNS)
 
 
 @dataclass
 class RunRecord:
     """Aggregates of one (strategy, trace) session.
 
-    The `action_*` columns hold one entry per issued action: float64 arrays
-    (int64 for `action_videos`) as `session_record` and `load_report` build
-    them, though any sequence of numbers works.
+    `actions` maps each ACTION_COLUMNS name to one entry per issued action:
+    an array of the column's dtype as `session_record` and `load_report`
+    build it, though any sequence of numbers works.
     """
 
     strategy: str
@@ -265,12 +279,9 @@ class RunRecord:
     n_swipes: int
     mean_range_s: float
     qoe_norm: float = 0.0
-    action_durations: np.ndarray = field(default_factory=_no_actions)
-    action_qs: np.ndarray = field(default_factory=_no_actions)
-    action_issued: np.ndarray = field(default_factory=_no_actions)
-    action_videos: np.ndarray = field(default_factory=lambda: _no_actions(np.int64))
-    action_bitrates: np.ndarray = field(default_factory=_no_actions)
-    action_rewards: np.ndarray = field(default_factory=_no_actions)
+    actions: dict[str, np.ndarray] = field(
+        default_factory=lambda: {name: np.empty(0, dtype=parse) for name, parse in ACTION_COLUMNS}
+    )
 
 
 @dataclass
@@ -314,8 +325,9 @@ class Report:
 
 
 def session_record(strategy: Strategy, metrics: SessionMetrics, trace: Trace) -> RunRecord:
-    actions = metrics.actions
-    durations = np.array(actions.duration_s, dtype=np.float64)
+    log = metrics.actions
+    actions = {name: np.array(getattr(log, name), dtype=parse) for name, parse in ACTION_COLUMNS}
+    durations = actions["duration_s"]
     return RunRecord(
         strategy=strategy.name,
         trace_id=trace.trace_id,
@@ -326,15 +338,10 @@ def session_record(strategy: Strategy, metrics: SessionMetrics, trace: Trace) ->
         watched_bits=metrics.watched_bits,
         wasted_bits=metrics.wasted_bits,
         waste_ratio=metrics.waste_ratio,
-        n_actions=len(actions),
+        n_actions=len(log),
         n_swipes=metrics.n_swipes,
         mean_range_s=float(np.mean(durations)) if durations.size else 0.0,
-        action_durations=durations,
-        action_qs=np.array(actions.q_mbps, dtype=np.float64),
-        action_issued=np.array(actions.issued_at_s, dtype=np.float64),
-        action_videos=np.array(actions.video_index, dtype=np.int64),
-        action_bitrates=np.array(actions.bitrate_mbps, dtype=np.float64),
-        action_rewards=np.array(actions.reward, dtype=np.float64),
+        actions=actions,
     )
 
 
@@ -502,37 +509,19 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> Report:
     return report
 
 
-REPORT_HEADER = (
-    "strategy,trace_id,trace_mean_mbps,qoe,qoe_norm,rebuffer_s,downloaded_bits,"
-    "watched_bits,wasted_bits,waste_ratio,n_actions,n_swipes,mean_range_s"
-)
-ACTIONS_HEADER = "strategy,trace_id,issued_at_s,video_index,duration_s,bitrate_mbps,q_mbps,reward"
-# actions.csv column, its RunRecord attribute and parser, in ACTIONS_HEADER order.
-ACTION_COLUMNS = (
-    ("issued_at_s", "action_issued", float),
-    ("video_index", "action_videos", int),
-    ("duration_s", "action_durations", float),
-    ("bitrate_mbps", "action_bitrates", float),
-    ("q_mbps", "action_qs", float),
-    ("reward", "action_rewards", float),
-)
-
-
 def write_report(report: Report, out_dir) -> None:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
+    # `str` of a float is its `repr`, which reads back to the same float.
+    report_row = operator.attrgetter(*(name for name, _ in REPORT_COLUMNS))
     with open(out / "report.csv", "w") as fh:
-        fh.write(REPORT_HEADER + "\n")
+        fh.write(_REPORT_HEADER + "\n")
         for r in report.runs:
-            fh.write(
-                f"{r.strategy},{r.trace_id},{r.trace_mean_mbps!r},{r.qoe!r},{r.qoe_norm!r},"
-                f"{r.rebuffer_s!r},{r.downloaded_bits!r},{r.watched_bits!r},{r.wasted_bits!r},"
-                f"{r.waste_ratio!r},{r.n_actions},{r.n_swipes},{r.mean_range_s!r}\n"
-            )
+            fh.write(",".join(map(str, report_row(r))) + "\n")
     with open(out / "actions.csv", "w") as fh:
-        fh.write(ACTIONS_HEADER + "\n")
+        fh.write(_ACTIONS_HEADER + "\n")
         for r in report.runs:
-            columns = (np.asarray(getattr(r, attr)).tolist() for _, attr, _ in ACTION_COLUMNS)
+            columns = (np.asarray(r.actions[name]).tolist() for name, _ in ACTION_COLUMNS)
             for t, vi, d, b, q, rew in zip(*columns):
                 fh.write(f"{r.strategy},{r.trace_id},{t!r},{vi},{d!r},{b!r},{q!r},{rew!r}\n")
     with open(out / "summary.json", "w") as fh:
@@ -542,55 +531,66 @@ def write_report(report: Report, out_dir) -> None:
 
 def load_report(run_dir) -> Report:
     """Rebuild a Report from the report.csv, actions.csv and summary.json
-    that write_report wrote.
-
-    actions.csv is streamed: each run's rows become its action arrays when
-    they end, so only one run's rows are held as Python objects at a time.
+    that write_report wrote. A missing or malformed file is a DataError
+    naming it, and the line where there is one.
     """
     run = Path(run_dir)
-    runs: list[RunRecord] = []
-    index: dict[tuple[str, str], RunRecord] = {}
-    strategies: list[str] = []
-    try:
-        with open(run / "report.csv") as fh:
-            reader = csv.DictReader(fh)
-            for row in reader:
-                rec = RunRecord(
-                    strategy=row["strategy"],
-                    trace_id=row["trace_id"],
-                    trace_mean_mbps=float(row["trace_mean_mbps"]),
-                    qoe=float(row["qoe"]),
-                    rebuffer_s=float(row["rebuffer_s"]),
-                    downloaded_bits=float(row["downloaded_bits"]),
-                    watched_bits=float(row["watched_bits"]),
-                    wasted_bits=float(row["wasted_bits"]),
-                    waste_ratio=float(row["waste_ratio"]),
-                    n_actions=int(row["n_actions"]),
-                    n_swipes=int(row["n_swipes"]),
-                    mean_range_s=float(row["mean_range_s"]),
-                    qoe_norm=float(row["qoe_norm"]),
-                )
-                runs.append(rec)
-                index[(rec.strategy, rec.trace_id)] = rec
-                if rec.strategy not in strategies:
-                    strategies.append(rec.strategy)
-        with open(run / "actions.csv", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader, [])
-            run_key = operator.itemgetter(header.index("strategy"), header.index("trace_id"))
-            value_at = [header.index(name) for name, _, _ in ACTION_COLUMNS]
-            for key, group in itertools.groupby(filter(None, reader), key=run_key):
-                rec, rows = index[key], list(group)
-                for (_, attr, parse), at in zip(ACTION_COLUMNS, value_at):
-                    parsed = [parse(row[at]) for row in rows]
-                    setattr(rec, attr, np.append(getattr(rec, attr), parsed))
-        with open(run / "summary.json") as fh:
+    runs = _read_rows(
+        run / "report.csv",
+        _REPORT_HEADER,
+        lambda *fields: RunRecord(**{name: parse(f) for (name, parse), f in zip(REPORT_COLUMNS, fields)}),
+        "no runs",
+    )
+    _load_actions(run / "actions.csv", {(r.strategy, r.trace_id): r for r in runs})
+    path = run / "summary.json"
+    with _open_data(path) as fh:
+        try:
             seed = int(json.load(fh)["seed"])
-    except OSError as err:
-        raise DataError(f"cannot load report from {run_dir}: {err}")
-    except (KeyError, IndexError, ValueError) as err:
-        raise DataError(f"malformed report in {run_dir}: {err}")
-    return Report(runs=runs, strategies=tuple(strategies), seed=seed)
+        except (KeyError, TypeError, ValueError) as err:
+            raise DataError(f"{path}: malformed report: no seed ({err})")
+    return Report(runs=runs, strategies=tuple(dict.fromkeys(r.strategy for r in runs)), seed=seed)
+
+
+def _load_actions(path, runs: dict[tuple[str, str], RunRecord]) -> None:
+    """Fill the `actions` of `runs`, keyed by (strategy, trace_id), from
+    actions.csv.
+
+    The file is streamed: each run's rows become its action arrays when
+    they end, so only one run's rows are held as Python objects at a time.
+    A row of another width than the header, a run that report.csv lacks,
+    or one with other than `n_actions` rows is a DataError naming the file.
+    """
+    width = _ACTIONS_HEADER.count(",") + 1
+    with _open_data(path) as fh:
+        found = fh.readline().rstrip("\n")
+        if found != _ACTIONS_HEADER:
+            raise DataError(f"{path}: bad header {found!r}; expected {_ACTIONS_HEADER!r}")
+        rows = map(str.split, map(str.rstrip, fh), itertools.repeat(","))
+        end = 2  # the line after the rows read so far
+        for key, group in itertools.groupby(rows, key=operator.itemgetter(slice(0, 2))):
+            group = list(group)
+            start, end = end, end + len(group)
+            if key == [""]:
+                continue  # blank lines
+            if set(map(len, group)) != {width}:
+                at = next(i for i, row in enumerate(group) if len(row) != width)
+                raise DataError(f"{path}:{start + at}: malformed report row: expected {width} fields")
+            rec = runs.get(tuple(key))
+            if rec is None:
+                raise DataError(f"{path}:{start}: malformed report: no run {','.join(key)} in report.csv")
+            try:
+                rec.actions = {
+                    name: np.append(rec.actions[name], [parse(row[at]) for row in group])
+                    for at, (name, parse) in enumerate(ACTION_COLUMNS, start=2)
+                }
+            except ValueError as err:
+                raise DataError(f"{path}:{start}-{end - 1}: malformed report rows: {err}")
+    for rec in runs.values():
+        if len(rec.actions["issued_at_s"]) != rec.n_actions:
+            raise DataError(
+                f"{path}: malformed report: {len(rec.actions['issued_at_s'])} action rows for run "
+                f"{rec.strategy},{rec.trace_id}, whose n_actions is {rec.n_actions}"
+            )
 
 
 def _pooled(columns) -> np.ndarray:
@@ -609,7 +609,7 @@ def range_medians_by_trace_tercile(report: Report, strategy: str) -> dict[str, f
     groups = np.array_split(np.arange(len(runs)), 3)
     out: dict[str, float] = {}
     for name, idxs in zip(("low", "mid", "high"), groups):
-        durations = _pooled(runs[int(i)].action_durations for i in idxs)
+        durations = _pooled(runs[int(i)].actions["duration_s"] for i in idxs)
         out[name] = float(np.median(durations)) if durations.size else math.nan
     return out
 
@@ -636,8 +636,8 @@ def emit_plots_data(report: Report, out_dir, n_bins: int = 24) -> None:
         fh.write("strategy,tercile,bin_lo,bin_hi,count,density\n")
         for s in report.strategies:
             runs = [r for r in report.runs if r.strategy == s]
-            q_arr = _pooled(r.action_qs for r in runs)
-            d_arr = _pooled(r.action_durations for r in runs)
+            q_arr = _pooled(r.actions["q_mbps"] for r in runs)
+            d_arr = _pooled(r.actions["duration_s"] for r in runs)
             if not q_arr.size:
                 continue
             q33, q67 = np.quantile(q_arr, [1.0 / 3.0, 2.0 / 3.0])

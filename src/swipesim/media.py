@@ -96,16 +96,6 @@ class VideoState:
         if self.chosen_bitrate == 0.0:
             self.chosen_bitrate = self.meta.bitrate_ladder[0]
 
-    @property
-    def buffer_ahead_s(self) -> float:
-        """Buffered media ahead of the playhead."""
-        return self.buffered_s - self.play_pos_s
-
-    @property
-    def remaining_download_s(self) -> float:
-        """Media seconds not yet covered by any downloaded range."""
-        return self.meta.duration_s - self.buffered_s
-
     def delivered_bits(self) -> float:
         # Plain left-to-right sums from 0.0, here and below: Python 3.12's
         # `sum` of floats compensates its rounding and would give other bytes.
@@ -119,9 +109,6 @@ class VideoState:
         for seg in self.segments:
             total += seg.watched_bits(watch_s)
         return total
-
-    def unwatched_bits(self, watch_s: float) -> float:
-        return self.delivered_bits() - self.watched_prefix_bits(watch_s)
 
 
 @dataclass(frozen=True)

@@ -219,6 +219,16 @@ def test_load_config_rejects_wrong_types(tmp_path):
         load_config(_write_cfg(tmp_path, "train:\n  lr: yes\n"))
 
 
+def test_load_config_reads_yaml_1_2_floats(tmp_path):
+    cfg = load_config(_write_cfg(tmp_path, "train:\n  lr: 3e-4\nreward:\n  waste_clip_bits: 1.2e6\n"))
+    assert cfg.train.lr == 3e-4
+    assert cfg.sim.reward.waste_clip_bits == 1.2e6
+    with pytest.raises(ConfigError, match=r"reward.waste_clip_bits: expected a number, got '1e6x'"):
+        load_config(_write_cfg(tmp_path, "reward:\n  waste_clip_bits: 1e6x\n"))
+    # PyYAML's own loaders still read YAML 1.1.
+    assert yaml.safe_load("lr: 3e-4") == {"lr": "3e-4"}
+
+
 def test_load_config_reward_section_lands_in_sim(tmp_path):
     cfg = load_config(_write_cfg(tmp_path, "reward:\n  alpha: 0.5\n"))
     assert cfg.sim.reward.alpha == 0.5
@@ -333,7 +343,7 @@ def test_build_strategies_missing_checkpoint_file(tmp_path):
 # --- report plumbing ---------------------------------------------------------
 
 
-def _record(strategy, trace_id, mean_mbps, qoe, durations, qs=None, rebuffer=0.25):
+def _record(strategy, trace_id, mean_mbps, qoe, durations, qs=None, rebuffer=0.25, videos=None):
     n = len(durations)
     return RunRecord(
         strategy=strategy,
@@ -348,12 +358,14 @@ def _record(strategy, trace_id, mean_mbps, qoe, durations, qs=None, rebuffer=0.2
         n_actions=n,
         n_swipes=2,
         mean_range_s=float(np.mean(durations)) if n else 0.0,
-        action_durations=list(durations),
-        action_qs=list(qs) if qs is not None else [1.0] * n,
-        action_issued=[float(i) for i in range(n)],
-        action_videos=[0] * n,
-        action_bitrates=[1.0] * n,
-        action_rewards=[0.5] * n,
+        actions={
+            "issued_at_s": [float(i) for i in range(n)],
+            "video_index": videos if videos is not None else [0] * n,
+            "duration_s": list(durations),
+            "bitrate_mbps": [1.0] * n,
+            "q_mbps": list(qs) if qs is not None else [1.0] * n,
+            "reward": [0.5] * n,
+        },
     )
 
 
@@ -379,12 +391,12 @@ def test_session_record_maps_metrics():
     assert rec.waste_ratio == 0.25
     assert rec.n_actions == 2 and rec.n_swipes == 3
     assert rec.mean_range_s == 2.0
-    assert rec.action_durations.tolist() == [1.0, 3.0]
-    assert rec.action_issued.tolist() == [0.0, 1.0]
-    assert rec.action_videos.dtype == np.int64 and rec.action_videos.tolist() == [0, 2]
-    assert rec.action_bitrates.tolist() == [0.5, 0.75]
-    assert rec.action_qs.tolist() == [1.0, 1.5]
-    assert rec.action_rewards.tolist() == [0.4, 0.2]
+    assert rec.actions["duration_s"].tolist() == [1.0, 3.0]
+    assert rec.actions["issued_at_s"].tolist() == [0.0, 1.0]
+    assert rec.actions["video_index"].dtype == np.int64 and rec.actions["video_index"].tolist() == [0, 2]
+    assert rec.actions["bitrate_mbps"].tolist() == [0.5, 0.75]
+    assert rec.actions["q_mbps"].tolist() == [1.0, 1.5]
+    assert rec.actions["reward"].tolist() == [0.4, 0.2]
 
 
 def test_report_normalization():
@@ -428,9 +440,44 @@ def test_write_then_load_report_round_trips(tmp_path):
         assert got.strategy == orig.strategy and got.trace_id == orig.trace_id
         assert got.qoe == orig.qoe and got.qoe_norm == orig.qoe_norm
         assert got.downloaded_bits == orig.downloaded_bits
-        assert got.action_durations.tolist() == orig.action_durations
-        assert got.action_qs.tolist() == orig.action_qs
+        assert got.actions["duration_s"].tolist() == orig.actions["duration_s"]
+        assert got.actions["q_mbps"].tolist() == orig.actions["q_mbps"]
     assert json.loads((tmp_path / "summary.json").read_text())["strategies"] == ["a", "b"]
+    # Blank lines are skipped, as in every other CSV input.
+    for name in ("report.csv", "actions.csv"):
+        text = (tmp_path / name).read_text()
+        (tmp_path / name).write_text(text.replace("\n", "\n\n", 2) + "\n")
+    again = load_report(tmp_path)
+    assert [r.actions["duration_s"].tolist() for r in again.runs] == [[1.0, 2.0], [0.5], []]
+
+
+def test_report_files_keep_their_text(tmp_path):
+    """`write_report`'s bytes as literal text. Every other report test is a
+    round trip, which a format change made on both the write and the read
+    side would pass."""
+    runs = [
+        _record("a", "t1", 0.1, 1 / 3, [0.1, np.float64(2.5), 1e-300], qs=[-0.0, 1 / 3, 7.0],
+                rebuffer=-0.0, videos=np.array([3, 0, 12], dtype=np.int64)),
+        _record("b", "t-2", 1e-300, -2.5, []),
+        _record("b", "t1", 0.1, 0.0, [7.25], qs=[1e-300]),
+    ]
+    rep = Report(runs=runs, strategies=("a", "b"), seed=0)
+    rep.normalize()
+    write_report(rep, tmp_path)
+    assert (tmp_path / "report.csv").read_text() == (
+        "strategy,trace_id,trace_mean_mbps,qoe,qoe_norm,rebuffer_s,downloaded_bits,"
+        "watched_bits,wasted_bits,waste_ratio,n_actions,n_swipes,mean_range_s\n"
+        "a,t1,0.1,0.3333333333333333,1.0,-0.0,1000000.0,900000.0,100000.0,0.1,3,2,0.8666666666666667\n"
+        "b,t-2,1e-300,-2.5,0.0,0.25,1000000.0,900000.0,100000.0,0.1,0,2,0.0\n"
+        "b,t1,0.1,0.0,0.8823529411764706,0.25,1000000.0,900000.0,100000.0,0.1,1,2,7.25\n"
+    )
+    assert (tmp_path / "actions.csv").read_text() == (
+        "strategy,trace_id,issued_at_s,video_index,duration_s,bitrate_mbps,q_mbps,reward\n"
+        "a,t1,0.0,3,0.1,1.0,-0.0,0.5\n"
+        "a,t1,1.0,0,2.5,1.0,0.3333333333333333,0.5\n"
+        "a,t1,2.0,12,1e-300,1.0,7.0,0.5\n"
+        "b,t1,0.0,0,7.25,1.0,1e-300,0.5\n"
+    )
 
 
 def test_load_report_rejects_short_action_rows(tmp_path):
@@ -444,8 +491,44 @@ def test_load_report_rejects_short_action_rows(tmp_path):
 
 
 def test_load_report_missing_dir(tmp_path):
-    with pytest.raises(DataError, match="cannot load report"):
+    with pytest.raises(DataError, match=r"cannot read .*nowhere.report\.csv"):
         load_report(tmp_path / "nowhere")
+
+
+def _drop_last_field(row):
+    return row.rsplit(",", 1)[0]
+
+
+@pytest.mark.parametrize(
+    "name, lineno, edit, named",
+    [
+        ("report.csv", 2, _drop_last_field, "report.csv:2"),
+        ("report.csv", 3, lambda row: row + ",7", "report.csv:3"),
+        ("report.csv", 2, lambda row: row.replace("a,t1,1.0,", "a,t1,fast,"), "report.csv:2"),
+        # n_actions 1 -> 3, against the run's one row in actions.csv
+        ("report.csv", 3, lambda row: row.replace(",1,2,", ",3,2,"), "actions.csv"),
+        ("actions.csv", 3, lambda row: row + ",7", "actions.csv:3"),
+        ("actions.csv", 4, _drop_last_field, "actions.csv:4"),
+        ("actions.csv", 3, lambda row: row.replace(",0,", ",zero,"), "actions.csv:2-3"),
+        ("actions.csv", 3, lambda row: None, "actions.csv"),  # run a,t1 keeps 1 of its 2 rows
+        ("actions.csv", 4, lambda row: row.replace("a,t2", "c,t2"), "actions.csv:4"),  # no such run
+        ("summary.json", 1, lambda row: "[", "summary.json"),
+    ],
+)
+def test_cli_report_rejects_malformed_run_files(tmp_path, capsys, name, lineno, edit, named):
+    """Exit 2, naming the file, and the line where there is one."""
+    runs = [_record("a", "t1", 1.0, 2.0, [1.0, 2.0]), _record("a", "t2", 1.5, 3.0, [0.5]),
+            _record("b", "t1", 1.0, 1.0, [])]
+    write_report(Report(runs=runs, strategies=("a", "b"), seed=0), tmp_path)
+    assert cli_main(["report", "--run", str(tmp_path)]) == 0
+    path = tmp_path / name
+    lines = path.read_text().splitlines()
+    lines[lineno - 1] = edit(lines[lineno - 1])
+    path.write_text("".join(f"{line}\n" for line in lines if line is not None))
+    capsys.readouterr()
+    assert cli_main(["report", "--run", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and f"{tmp_path / named}:" in err
 
 
 def test_emit_plots_data(tmp_path):
@@ -531,11 +614,11 @@ def test_run_experiment_jobs_do_not_change_reports(pipeline, tmp_path):
         assert (tmp_path / "j1" / name).read_bytes() == (tmp_path / "j2" / name).read_bytes()
     # The action arrays cross the process pool intact.
     for serial, pooled in zip(reports[1].runs, reports[2].runs):
-        for attr in ("action_issued", "action_videos", "action_durations",
-                     "action_bitrates", "action_qs", "action_rewards"):
-            a, b = getattr(serial, attr), getattr(pooled, attr)
+        assert serial.actions.keys() == pooled.actions.keys()
+        for name, a in serial.actions.items():
+            b = pooled.actions[name]
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
-    assert reports[2].runs[0].action_videos.dtype == np.int64
+    assert reports[2].runs[0].actions["video_index"].dtype == np.int64
 
 
 def test_heap_release_before_pool_starts_no_process(monkeypatch):
@@ -608,7 +691,7 @@ def test_fixed_range_sweep_runs_with_the_suites_config(pipeline, tmp_path):
     assert report.strategies == ("deload_0.5s", "deload_8s")
     assert len(report.runs) == 2 * 6
     for name, seconds in (("deload_0.5s", 0.5), ("deload_8s", 8.0)):
-        durations = np.concatenate([r.action_durations for r in report.runs if r.strategy == name])
+        durations = np.concatenate([r.actions["duration_s"] for r in report.runs if r.strategy == name])
         assert 0.0 < durations.min() and durations.max() == seconds
     # The suite's `sim.videos_per_session: 4`, not the built-in 15.
     assert max(r.n_swipes for r in report.runs) == 4

@@ -161,7 +161,6 @@ def test_watched_prefix_is_monotone_and_bounded(edges, watch):
     w1 = v.watched_prefix_bits(watch)
     w2 = v.watched_prefix_bits(watch + 1.0)
     assert 0.0 <= w1 <= w2 <= v.delivered_bits() + 1e-6
-    assert v.unwatched_bits(watch) == pytest.approx(v.delivered_bits() - w1)
 
 
 # --- traces --------------------------------------------------------------

@@ -520,8 +520,8 @@ class _PerStepSession:
             return
         video = self.playlist[decision.index]
         bitrate = abr_select(video.meta.bitrate_ladder, q, cfg.abr_safety)
-        headroom = cfg.b_max_s - video.buffer_ahead_s
-        duration = min(decision.duration_s, video.remaining_download_s, headroom)
+        headroom = cfg.b_max_s - (video.buffered_s - video.play_pos_s)
+        duration = min(decision.duration_s, video.meta.duration_s - video.buffered_s, headroom)
         if duration <= 0.0:
             self.sleep_until = self.t + cfg.pause_ms / 1000.0
             return
@@ -708,9 +708,9 @@ def _ref_select_video(playlist, dv, b_max_s, min_headroom_s=0.0):
     for i, video in enumerate(playlist):
         if i == 0 and dv.playing_degenerate:
             continue
-        if video.buffer_ahead_s >= b_max_s - min_headroom_s:
+        if video.buffered_s - video.play_pos_s >= b_max_s - min_headroom_s:
             continue
-        if video.remaining_download_s <= EPS_S:
+        if video.meta.duration_s - video.buffered_s <= EPS_S:
             continue
         if best is None or dv.demands[i] > dv.demands[best]:
             best = i
@@ -719,7 +719,7 @@ def _ref_select_video(playlist, dv, b_max_s, min_headroom_s=0.0):
 
 def _ref_naive_select(playlist, threshold_s):
     for i, v in enumerate(playlist):
-        if v.buffer_ahead_s < threshold_s and v.remaining_download_s > EPS_S:
+        if v.buffered_s - v.play_pos_s < threshold_s and v.meta.duration_s - v.buffered_s > EPS_S:
             return i
     return None
 
