@@ -196,7 +196,7 @@ def cmd_simulate(args) -> int:
     for name in summary["strategies"]:
         row = summary["per_strategy"][name]
         print(
-            f"{name:>14}: mean QoE {row['mean_qoe']:9.3f}  norm {row['mean_qoe_norm']:.3f}  "
+            f"{name:>14}: mean QoE {row['mean_qoe']:9.3f}  "
             f"rebuffer {row['mean_rebuffer_s']:6.2f}s  waste {row['mean_waste_ratio']:.3f}  "
             f"range {row['mean_range_s']:.2f}s"
         )

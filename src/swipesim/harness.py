@@ -51,6 +51,7 @@ class ConfigError(Exception):
 CATALOG_HEADER = "video_id,duration_s,ladder_mbps"
 RETENTION_RECORD_HEADER = "user_id,video_id,duration_s,watch_time_s"
 RETENTION_PARAMS_HEADER = "video_id,beta,eta,gamma"
+RANGE_HIST_BINS = 24  # range-duration bins per strategy and tercile in range_hist.csv
 
 
 def _unreadable(path, err: OSError | UnicodeDecodeError) -> DataError:
@@ -74,13 +75,21 @@ def ingest_traces(pattern: str) -> list[Trace]:
     """Load every trace matching the glob, sorted by filename.
 
     Each file holds `timestamp_ms,bandwidth_mbps` lines (an optional header
-    is skipped). Raises DataError naming the file and line on bad input.
+    is skipped), and its stem is the trace id. Raises DataError naming the
+    file and line on bad input, and the files of an id the report files
+    cannot key a run by: one with a comma or a line break, or a shared one.
     """
     paths = sorted(globmod.glob(pattern))
     if not paths:
         raise DataError(f"no traces match {pattern!r}")
     traces = []
+    files: dict[str, str] = {}  # trace id -> the first file with it
     for path in paths:
+        stem = Path(path).stem
+        if any(c in stem for c in ",\r\n"):
+            raise DataError(f"{path}: the trace id {stem!r} has a comma or a line break; rename the file")
+        if files.setdefault(stem, path) != path:
+            raise DataError(f"{files[stem]} and {path} share the trace id {stem!r}; rename one")
         with _open_data(path) as fh:
             # Split on "\n" alone, as iterating over the file splits it.
             lines = fh.read().split("\n")
@@ -88,7 +97,7 @@ def ingest_traces(pattern: str) -> list[Trace]:
             del lines[-1]  # the empty rest after the final newline
         columns = _trace_columns(lines) or _scan_trace_lines(path, lines)
         try:
-            traces.append(Trace(Path(path).stem, *columns))
+            traces.append(Trace(stem, *columns))
         except ValueError as err:
             _scan_trace_lines(path, lines)  # names the line of a non-finite value
             raise DataError(f"{path}: {err}")
@@ -242,7 +251,7 @@ class ExperimentSpec:
 # with the parser `load_report` reads it with.
 REPORT_COLUMNS = (
     ("strategy", str), ("trace_id", str), ("trace_mean_mbps", float), ("qoe", float),
-    ("qoe_norm", float), ("rebuffer_s", float), ("downloaded_bits", float),
+    ("rebuffer_s", float), ("downloaded_bits", float),
     ("watched_bits", float), ("wasted_bits", float), ("waste_ratio", float),
     ("n_actions", int), ("n_swipes", int), ("mean_range_s", float),
 )
@@ -278,7 +287,6 @@ class RunRecord:
     n_actions: int
     n_swipes: int
     mean_range_s: float
-    qoe_norm: float = 0.0
     actions: dict[str, np.ndarray] = field(
         default_factory=lambda: {name: np.empty(0, dtype=parse) for name, parse in ACTION_COLUMNS}
     )
@@ -291,16 +299,6 @@ class Report:
     runs: list[RunRecord]
     strategies: tuple[str, ...]
     seed: int
-
-    def normalize(self) -> None:
-        """Min-max QoE over the whole experiment; degenerate spread -> 0."""
-        if not self.runs:
-            return
-        qoes = [r.qoe for r in self.runs]
-        lo, hi = min(qoes), max(qoes)
-        span = hi - lo
-        for r in self.runs:
-            r.qoe_norm = 0.0 if span <= 0.0 else (r.qoe - lo) / span
 
     def mean_qoe(self, strategy: str) -> float:
         vals = [r.qoe for r in self.runs if r.strategy == strategy]
@@ -316,7 +314,6 @@ class Report:
                 "n_runs": len(runs),
                 "mean_qoe": float(np.mean([r.qoe for r in runs])),
                 "median_qoe": float(np.median([r.qoe for r in runs])),
-                "mean_qoe_norm": float(np.mean([r.qoe_norm for r in runs])),
                 "mean_rebuffer_s": float(np.mean([r.rebuffer_s for r in runs])),
                 "mean_waste_ratio": float(np.mean([r.waste_ratio for r in runs])),
                 "mean_range_s": float(np.mean([r.mean_range_s for r in runs])),
@@ -504,7 +501,6 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> Report:
         runs = [_worker(t) for t in tasks]
 
     report = Report(runs=runs, strategies=tuple(s.name for s in strategies), seed=spec.seed)
-    report.normalize()
     write_report(report, out_dir)
     return report
 
@@ -614,16 +610,16 @@ def range_medians_by_trace_tercile(report: Report, strategy: str) -> dict[str, f
     return out
 
 
-def emit_plots_data(report: Report, out_dir, n_bins: int = 24) -> None:
+def emit_plots_data(report: Report, out_dir) -> None:
     """Write plot-ready CSVs: QoE CDFs, rebuffer/waste scatter, and
     range-duration histograms bucketed by per-action throughput tercile."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     with open(out / "qoe_cdf.csv", "w") as fh:
-        fh.write("strategy,qoe_norm,cdf\n")
+        fh.write("strategy,qoe,cdf\n")
         for s in report.strategies:
-            vals = sorted(r.qoe_norm for r in report.runs if r.strategy == s)
+            vals = sorted(r.qoe for r in report.runs if r.strategy == s)
             for i, v in enumerate(vals):
                 fh.write(f"{s},{v!r},{(i + 1) / len(vals)!r}\n")
 
@@ -647,7 +643,7 @@ def emit_plots_data(report: Report, out_dir, n_bins: int = 24) -> None:
                 "mid": (q_arr > q33) & (q_arr <= q67),
                 "high": q_arr > q67,
             }
-            edges = np.linspace(float(d_arr.min()), float(d_arr.max()) + 1e-9, n_bins + 1)
+            edges = np.linspace(float(d_arr.min()), float(d_arr.max()) + 1e-9, RANGE_HIST_BINS + 1)
             width = edges[1] - edges[0]
             for name, mask in bins_by_name.items():
                 sel = d_arr[mask]

@@ -72,7 +72,7 @@ def generate_catalog(
     return catalog, truth
 
 
-def _constant_trace(mean: float, n: int, step_ms: float) -> list[float]:
+def _constant_trace(mean: float, n: int) -> list[float]:
     return [mean] * n
 
 def _square_trace(mean: float, n: int, step_ms: float, spec: SyntheticSpec, rng) -> list[float]:
@@ -84,7 +84,7 @@ def _square_trace(mean: float, n: int, step_ms: float, spec: SyntheticSpec, rng)
         out.append(hi if (k // half) % 2 == 0 else lo)
     return out
 
-def _walk_trace(mean: float, n: int, step_ms: float, spec: SyntheticSpec, rng) -> list[float]:
+def _walk_trace(mean: float, n: int, spec: SyntheticSpec, rng) -> list[float]:
     lo = max(mean * 0.25, 0.05)
     hi = mean * 3.0
     out = [mean]
@@ -102,13 +102,13 @@ def generate_traces(spec: SyntheticSpec, rng: np.random.Generator) -> list[Trace
         mean = math.exp(rng.uniform(math.log(spec.bw_lo_mbps), math.log(spec.bw_hi_mbps)))
         shape_kind = i % 3
         if shape_kind == 0:
-            levels = _constant_trace(mean, n, spec.trace_step_ms)
+            levels = _constant_trace(mean, n)
             kind = "const"
         elif shape_kind == 1:
             levels = _square_trace(mean, n, spec.trace_step_ms, spec, rng)
             kind = "square"
         else:
-            levels = _walk_trace(mean, n, spec.trace_step_ms, spec, rng)
+            levels = _walk_trace(mean, n, spec, rng)
             kind = "walk"
         stamps = [k * spec.trace_step_ms for k in range(n)]
         traces.append(Trace(f"{kind}-{i:04d}", stamps, [round(b, 6) for b in levels]))

@@ -162,7 +162,6 @@ def _golden_section_max(f, lo: float, hi: float, iters: int = 64) -> float:
 
 def fit_weibull_lse(
     samples: Iterable[float],
-    censor_at: float | None = None,
     config: FitConfig = FitConfig(),
 ) -> WeibullFit:
     """Fit a three-parameter Weibull by median-rank least squares.
@@ -176,16 +175,12 @@ def fit_weibull_lse(
     is found by an outer search (coarse grid, then golden-section refinement)
     over [0, min(samples)) maximizing R^2 of that line.
 
-    `censor_at` caps samples at the given value; capped values stay in the
-    regression as exact observations (a deliberate simplification for
-    watched-to-end views). Non-positive samples are dropped before fitting.
+    Non-positive samples are dropped before fitting.
 
     Raises FitError with reason "insufficient_samples", "degenerate_samples",
     or "low_r2".
     """
     t = np.asarray(list(samples), dtype=np.float64)
-    if censor_at is not None:
-        t = np.minimum(t, censor_at)
     t = np.sort(t[t > 0.0])
     n = int(t.size)
     if n < config.n_min:

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import json
 import math
 import os
@@ -399,21 +400,6 @@ def test_session_record_maps_metrics():
     assert rec.actions["reward"].tolist() == [0.4, 0.2]
 
 
-def test_report_normalization():
-    runs = [_record("a", "t1", 1.0, 1.0, [1.0]), _record("a", "t2", 2.0, 3.0, [1.0]),
-            _record("b", "t1", 1.0, 2.0, [1.0])]
-    rep = Report(runs=runs, strategies=("a", "b"), seed=0)
-    rep.normalize()
-    assert [r.qoe_norm for r in runs] == [0.0, 1.0, 0.5]
-    assert rep.mean_qoe("a") == 2.0
-    assert math.isnan(rep.mean_qoe("zzz"))
-
-    flat = Report(runs=[_record("a", "t1", 1.0, 5.0, [1.0]), _record("a", "t2", 1.0, 5.0, [1.0])],
-                  strategies=("a",), seed=0)
-    flat.normalize()
-    assert [r.qoe_norm for r in flat.runs] == [0.0, 0.0]
-
-
 def test_range_medians_by_trace_tercile():
     runs = [
         _record("deload", f"t{i}", float(i), 0.0, [float(i)] * 3) for i in range(1, 7)
@@ -432,13 +418,14 @@ def test_write_then_load_report_round_trips(tmp_path):
         _record("b", "t1", 1.25, 9.0, []),
     ]
     rep = Report(runs=runs, strategies=("a", "b"), seed=0)
-    rep.normalize()
     write_report(rep, tmp_path)
     back = load_report(tmp_path)
     assert back.strategies == ("a", "b")
+    assert back.mean_qoe("a") == 1.25
+    assert math.isnan(back.mean_qoe("zzz"))
     for orig, got in zip(runs, back.runs):
         assert got.strategy == orig.strategy and got.trace_id == orig.trace_id
-        assert got.qoe == orig.qoe and got.qoe_norm == orig.qoe_norm
+        assert got.qoe == orig.qoe
         assert got.downloaded_bits == orig.downloaded_bits
         assert got.actions["duration_s"].tolist() == orig.actions["duration_s"]
         assert got.actions["q_mbps"].tolist() == orig.actions["q_mbps"]
@@ -462,14 +449,13 @@ def test_report_files_keep_their_text(tmp_path):
         _record("b", "t1", 0.1, 0.0, [7.25], qs=[1e-300]),
     ]
     rep = Report(runs=runs, strategies=("a", "b"), seed=0)
-    rep.normalize()
     write_report(rep, tmp_path)
     assert (tmp_path / "report.csv").read_text() == (
-        "strategy,trace_id,trace_mean_mbps,qoe,qoe_norm,rebuffer_s,downloaded_bits,"
+        "strategy,trace_id,trace_mean_mbps,qoe,rebuffer_s,downloaded_bits,"
         "watched_bits,wasted_bits,waste_ratio,n_actions,n_swipes,mean_range_s\n"
-        "a,t1,0.1,0.3333333333333333,1.0,-0.0,1000000.0,900000.0,100000.0,0.1,3,2,0.8666666666666667\n"
-        "b,t-2,1e-300,-2.5,0.0,0.25,1000000.0,900000.0,100000.0,0.1,0,2,0.0\n"
-        "b,t1,0.1,0.0,0.8823529411764706,0.25,1000000.0,900000.0,100000.0,0.1,1,2,7.25\n"
+        "a,t1,0.1,0.3333333333333333,-0.0,1000000.0,900000.0,100000.0,0.1,3,2,0.8666666666666667\n"
+        "b,t-2,1e-300,-2.5,0.25,1000000.0,900000.0,100000.0,0.1,0,2,0.0\n"
+        "b,t1,0.1,0.0,0.25,1000000.0,900000.0,100000.0,0.1,1,2,7.25\n"
     )
     assert (tmp_path / "actions.csv").read_text() == (
         "strategy,trace_id,issued_at_s,video_index,duration_s,bitrate_mbps,q_mbps,reward\n"
@@ -493,6 +479,24 @@ def test_load_report_rejects_short_action_rows(tmp_path):
 def test_load_report_missing_dir(tmp_path):
     with pytest.raises(DataError, match=r"cannot read .*nowhere.report\.csv"):
         load_report(tmp_path / "nowhere")
+
+
+def test_run_directory_from_before_qoe_norm_was_dropped_fails_loudly(tmp_path, capsys):
+    """A report.csv with the old `qoe_norm` column is refused, not misread;
+    such a run directory must be simulated again."""
+    write_report(Report(runs=[_record("a", "t1", 1.0, 2.0, [1.0])], strategies=("a",), seed=0), tmp_path)
+    header = (tmp_path / "report.csv").read_text().splitlines()[0]
+    (tmp_path / "report.csv").write_text(
+        "strategy,trace_id,trace_mean_mbps,qoe,qoe_norm,rebuffer_s,downloaded_bits,"
+        "watched_bits,wasted_bits,waste_ratio,n_actions,n_swipes,mean_range_s\n"
+        "a,t1,1.0,2.0,0.0,0.25,1000000.0,900000.0,100000.0,0.1,1,2,1.0\n"
+    )
+    with pytest.raises(DataError) as err:
+        load_report(tmp_path)
+    assert str(tmp_path / "report.csv") in str(err.value) and repr(header) in str(err.value)
+    capsys.readouterr()
+    assert cli_main(["report", "--run", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"data error: {tmp_path / 'report.csv'}: bad header")
 
 
 def _drop_last_field(row):
@@ -540,12 +544,14 @@ def test_emit_plots_data(tmp_path):
         for i in range(4)
     ]
     rep = Report(runs=runs, strategies=("a", "b"), seed=0)
-    rep.normalize()
     emit_plots_data(rep, tmp_path)
 
     with open(tmp_path / "qoe_cdf.csv") as fh:
         rows = list(csv.DictReader(fh))
     for s in ("a", "b"):
+        assert [float(r["qoe"]) for r in rows if r["strategy"] == s] == sorted(
+            r.qoe for r in runs if r.strategy == s
+        )
         cdf = [float(r["cdf"]) for r in rows if r["strategy"] == s]
         assert cdf == sorted(cdf)
         assert cdf[-1] == 1.0
@@ -619,6 +625,25 @@ def test_run_experiment_jobs_do_not_change_reports(pipeline, tmp_path):
             b = pooled.actions[name]
             assert a.dtype == b.dtype and a.tolist() == b.tolist()
     assert reports[2].runs[0].actions["video_index"].dtype == np.int64
+
+
+def test_a_strategys_outputs_do_not_depend_on_the_others(pipeline, tmp_path):
+    spec = experiment_spec(load_config(pipeline[1]), seed=0)
+    alone, among = tmp_path / "alone", tmp_path / "among"
+    run_experiment(dataclasses.replace(spec, strategies=("deload_5s",)), alone)
+    mixed = run_experiment(dataclasses.replace(spec, strategies=("naive_1s", "deload_5s", "deload_1s")), among)
+    # Another strategy holds the lowest or the highest QoE of the mixed run,
+    # so a score scaled over the pooled runs would move deload_5s's rows.
+    ends = (min(mixed.runs, key=lambda r: r.qoe), max(mixed.runs, key=lambda r: r.qoe))
+    assert any(r.strategy != "deload_5s" for r in ends)
+    for name in ("report.csv", "actions.csv"):
+        rows = [
+            [line for line in (run / name).read_text().splitlines() if line.startswith("deload_5s,")]
+            for run in (alone, among)
+        ]
+        assert rows[0] and rows[0] == rows[1]
+    entries = [json.loads((run / "summary.json").read_text())["per_strategy"]["deload_5s"] for run in (alone, among)]
+    assert entries[0] == entries[1]
 
 
 def test_heap_release_before_pool_starts_no_process(monkeypatch):
@@ -837,6 +862,21 @@ def _corrupt_checkpoint(root, tmp_path):
     return out, 5
 
 
+# Trace file names whose stems the report files cannot hold as trace ids.
+_BAD_TRACE_NAMES = {"comma-id": ["a,b.csv"], "line-break-id": ["a\nb.csv"], "shared-id": ["x.csv", "x.csv"]}
+
+
+def _bad_trace_files(root, tmp_path, kind):
+    """Copies of a suite trace, one per directory `t<i>`, under the names of
+    `kind`: (their glob, the files)."""
+    text = sorted((root / "traces").glob("*.csv"))[0].read_text()
+    files = [tmp_path / f"t{i}" / name for i, name in enumerate(_BAD_TRACE_NAMES[kind])]
+    for path in files:
+        path.parent.mkdir()
+        path.write_text(text)
+    return tmp_path / "t*" / "*.csv", files
+
+
 @pytest.mark.parametrize(
     "command, key, content",
     [
@@ -859,12 +899,15 @@ def _corrupt_checkpoint(root, tmp_path):
         ("simulate", "traces_glob", ("0,1.5\n1000,nan\n2000,1.5\n", 2)),
         ("simulate", "traces_glob", ("0,1.5\nnan,2.0\n", 2)),
         ("simulate", "traces_glob", ("0,1.5\n1000,inf\n", 2)),
+        *(("simulate", "traces_glob", kind) for kind in _BAD_TRACE_NAMES),
     ],
 )
 def test_cli_bad_input_files_exit_2_naming_them(pipeline, tmp_path, capsys, command, key, content):
-    path, line = tmp_path / f"bad-{key}", None
+    path, line, named = tmp_path / f"bad-{key}", None, None
     if content == "corrupt":
         path, line = _corrupt_checkpoint(pipeline[0], tmp_path)
+    elif content in _BAD_TRACE_NAMES:
+        path, named = _bad_trace_files(pipeline[0], tmp_path, content)
     elif content is not None:
         data, line = content
         path.write_bytes(data if isinstance(data, bytes) else data.encode())
@@ -875,7 +918,7 @@ def test_cli_bad_input_files_exit_2_naming_them(pipeline, tmp_path, capsys, comm
     capsys.readouterr()
     assert cli_main(argv) == 2
     err = capsys.readouterr().err
-    assert err.startswith("data error: ") and str(path) in err
+    assert err.startswith("data error: ") and all(str(p) in err for p in named or [path])
     if line is not None:
         assert f"{path}:{line}:" in err
 

@@ -147,15 +147,6 @@ def test_fit_rejects_small_and_degenerate_groups():
     assert err.value.reason == "degenerate_samples"
 
 
-def test_fit_censoring_caps_samples():
-    rng = np.random.default_rng(3)
-    draws = sample_weibull(WeibullParams(1.0, 5.0, 0.0), rng, 500)
-    capped = np.minimum(draws, 6.0)
-    a = fit_weibull_lse(draws, censor_at=6.0)
-    b = fit_weibull_lse(capped)
-    assert a.params == b.params
-
-
 def test_fit_drops_nonpositive_samples():
     rng = np.random.default_rng(5)
     draws = list(sample_weibull(WeibullParams(1.3, 4.0, 0.0), rng, 400))
