@@ -36,12 +36,12 @@ class VideoMeta:
     bitrate_ladder: tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError(f"duration_s must be positive, got {self.duration_s}")
+        if not (self.duration_s > 0 and math.isfinite(self.duration_s)):
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
         if not self.bitrate_ladder:
             raise ValueError("bitrate ladder must not be empty")
-        if any(b <= 0 for b in self.bitrate_ladder):
-            raise ValueError("bitrate ladder rungs must be positive")
+        if not all(b > 0 and math.isfinite(b) for b in self.bitrate_ladder):
+            raise ValueError("bitrate ladder rungs must be positive and finite")
         if any(b2 <= b1 for b1, b2 in zip(self.bitrate_ladder, self.bitrate_ladder[1:])):
             raise ValueError("bitrate ladder must be strictly ascending")
 
@@ -121,10 +121,10 @@ class WatchRecord:
     watch_time_s: float
 
     def __post_init__(self) -> None:
-        if self.duration_s <= 0:
-            raise ValueError("duration_s must be positive")
-        if self.watch_time_s < 0:
-            raise ValueError("watch_time_s must be non-negative")
+        if not (self.duration_s > 0 and math.isfinite(self.duration_s)):
+            raise ValueError(f"duration_s must be positive and finite, got {self.duration_s}")
+        if not (self.watch_time_s >= 0 and math.isfinite(self.watch_time_s)):
+            raise ValueError(f"watch_time_s must be non-negative and finite, got {self.watch_time_s}")
 
 
 class Trace:

@@ -5,6 +5,10 @@ from __future__ import annotations
 import math
 import os
 
+# Before numpy: importing swipesim pins BLAS to one thread, as it does when
+# the program runs, so products whose bits depend on the thread count
+# (the fitter's location grid, PPO updates) give the program's bytes here.
+import swipesim  # noqa: F401  # isort: skip
 import numpy as np
 import pytest
 from hypothesis import settings

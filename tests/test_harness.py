@@ -735,6 +735,9 @@ def test_fixed_range_sweep_runs_with_the_suites_config(pipeline, tmp_path):
         ("train", "train", {"epochs": 0}, "epochs"),
         ("train", "train", {"episodes": -4}, "episodes"),
         ("simulate", None, {"jobs": 0}, "jobs"),
+        # An empty location grid leaves the fitter no candidate.
+        ("fit", "fit", {"gamma_grid": 0}, "gamma_grid"),
+        ("fit", "fit", {"gamma_grid": -3}, "gamma_grid"),
     ],
 )
 def test_cli_rejects_values_the_engine_or_trainer_cannot_run(
@@ -744,7 +747,7 @@ def test_cli_rejects_values_the_engine_or_trainer_cannot_run(
     doc = yaml.safe_load(path.read_text())
     (doc if section is None else doc.setdefault(section, {})).update(values)
     path.write_text(yaml.safe_dump(doc))
-    out = tmp_path / ("run" if command == "simulate" else "deload.ckpt")
+    out = tmp_path / {"simulate": "run", "train": "deload.ckpt", "fit": "table.csv"}[command]
     assert cli_main([command, "--config", str(path), "--out", str(out)]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and key in err
@@ -862,6 +865,9 @@ def _corrupt_checkpoint(root, tmp_path):
     return out, 5
 
 
+_CATALOG = harness.CATALOG_HEADER + "\n"
+_RECORDS = harness.RETENTION_RECORD_HEADER + "\n"
+
 # Trace file names whose stems the report files cannot hold as trace ids.
 _BAD_TRACE_NAMES = {"comma-id": ["a,b.csv"], "line-break-id": ["a\nb.csv"], "shared-id": ["x.csv", "x.csv"]}
 
@@ -900,6 +906,14 @@ def _bad_trace_files(root, tmp_path, kind):
         ("simulate", "traces_glob", ("0,1.5\nnan,2.0\n", 2)),
         ("simulate", "traces_glob", ("0,1.5\n1000,inf\n", 2)),
         *(("simulate", "traces_glob", kind) for kind in _BAD_TRACE_NAMES),
+        # Non-finite catalog and watch-record values.
+        ("simulate", "videos", (_CATALOG + "v0,30,0.35;0.75\nv1,nan,0.35;0.75\n", 3)),
+        ("simulate", "videos", (_CATALOG + "v0,inf,0.35;0.75\n", 2)),
+        ("simulate", "videos", (_CATALOG + "v0,30,0.35;nan\n", 2)),
+        ("fit", "watch_records", (_RECORDS + "u0,v0,30,4.5\nu0,v0,30,inf\n", 3)),
+        ("fit", "watch_records", (_RECORDS + "u0,v0,nan,4.5\n", 2)),
+        ("fit", "watch_records", (_RECORDS + "u0,v0,30,nan\n", 2)),
+        ("simulate", "retention", (_RECORDS + "u0,v0,inf,4.5\n", 2)),
     ],
 )
 def test_cli_bad_input_files_exit_2_naming_them(pipeline, tmp_path, capsys, command, key, content):

@@ -1,10 +1,12 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import integrate
 
+from swipesim import watchtime
 from swipesim.media import WatchRecord
 from swipesim.watchtime import (
     DEFAULT_BUCKET_EDGES,
@@ -154,6 +156,129 @@ def test_fit_drops_nonpositive_samples():
     fit_dirty = fit_weibull_lse(draws + [0.0, -1.0, 0.0])
     assert fit_dirty.params == fit_clean.params
     assert fit_dirty.n_samples == fit_clean.n_samples
+
+
+def test_fit_rejects_infinite_samples_without_warnings():
+    draws = list(sample_weibull(WeibullParams(1.3, 4.0, 0.0), np.random.default_rng(5), 400))
+    with pytest.raises(FitError) as err:
+        fit_weibull_lse(draws + [math.inf])
+    assert err.value.reason == "degenerate_samples"
+    # NaN, like a non-positive sample, is dropped.
+    assert fit_weibull_lse(draws + [math.nan]) == fit_weibull_lse(draws)
+
+
+# --- the location grid, scored a block of rows at a time --------------------
+#
+# `_whole_grid_fit` is the fitter as it was before blocking: it scores every
+# candidate location in one (gamma_grid, n) pass and recomputes y's terms on
+# each refinement call. The blocked fitter must match it bit for bit.
+
+
+def _reference_stats(x, y):
+    xm = x.mean()
+    ym = y.mean()
+    dx = x - xm
+    dy = y - ym
+    var_x = float(np.dot(dx, dx))
+    if var_x <= 0.0:
+        return 0.0, ym, 0.0
+    cov = float(np.dot(dx, dy))
+    var_y = float(np.dot(dy, dy))
+    slope = cov / var_x
+    intercept = ym - slope * xm
+    r2 = 0.0 if var_y <= 0.0 else (cov * cov) / (var_x * var_y)
+    return slope, intercept, r2
+
+
+def _whole_grid_r2(t, y, candidates):
+    x_grid = np.log(t[None, :] - candidates[:, None])
+    xm = x_grid.mean(axis=1)
+    dx = x_grid - xm[:, None]
+    dy = y - y.mean()
+    cov = dx @ dy
+    var_x = np.einsum("ij,ij->i", dx, dx)
+    var_y = float(np.dot(dy, dy))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(var_x > 0.0, (cov * cov) / (var_x * var_y), 0.0)
+
+
+def _grid_inputs(samples, gamma_grid):
+    """(t, y, candidates) as `fit_weibull_lse` builds them."""
+    t = np.sort(np.asarray(samples, dtype=np.float64))
+    n = t.size
+    y = np.log(-np.log1p(-((np.arange(1, n + 1, dtype=np.float64) - 0.3) / (n + 0.4))))
+    upper = t[0] * (1.0 - 1e-9)
+    return t, y, np.linspace(0.0, upper, gamma_grid)
+
+
+def _whole_grid_fit(samples, config):
+    t, y, candidates = _grid_inputs(samples, config.gamma_grid)
+    r2_grid = _whole_grid_r2(t, y, candidates)
+    best = int(np.argmax(r2_grid))
+    upper = t[0] * (1.0 - 1e-9)
+    if candidates.size > 1:
+        step = candidates[1] - candidates[0]
+        lo = max(0.0, candidates[best] - step)
+        hi = min(upper, candidates[best] + step)
+
+        def r2_at(g):
+            return _reference_stats(np.log(t - g), y)[2]
+
+        gamma = watchtime._golden_section_max(r2_at, lo, hi)
+        if r2_at(gamma) < r2_grid[best]:
+            gamma = float(candidates[best])
+    else:
+        gamma = float(candidates[0])
+    slope, intercept, r2 = _reference_stats(np.log(t - gamma), y)
+    return WeibullFit(WeibullParams(slope, math.exp(-intercept / slope), gamma), r_squared=r2, n_samples=t.size)
+
+
+GRID_SIZES = (1, 2, 15, 16, 17, 33, 192, 193)
+
+
+@pytest.fixture(scope="module", params=(30, 97, 5980), ids=lambda n: f"n{n}")
+def grid_samples(request):
+    return sample_weibull(WeibullParams(1.3, 9.0, 0.8), np.random.default_rng(request.param), request.param)
+
+
+def test_grid_blocks_start_at_multiples_of_16_and_never_leave_one_row():
+    assert watchtime._grid_blocks(1) == [(0, 1)]
+    assert watchtime._grid_blocks(16) == [(0, 16)]
+    assert watchtime._grid_blocks(17) == [(0, 17)]
+    assert watchtime._grid_blocks(18) == [(0, 16), (16, 18)]
+    assert watchtime._grid_blocks(193)[-2:] == [(160, 176), (176, 193)]
+    for rows in range(1, 260):
+        blocks = watchtime._grid_blocks(rows)
+        assert [lo for lo, _ in blocks] == list(range(0, 16 * len(blocks), 16))
+        assert blocks[-1][1] == rows and all(hi - lo > 1 for lo, hi in blocks if rows > 1)
+
+
+@pytest.mark.parametrize("gamma_grid", GRID_SIZES)
+def test_blocked_grid_scores_match_the_whole_grid_bit_for_bit(grid_samples, gamma_grid):
+    t, y, candidates = _grid_inputs(grid_samples, gamma_grid)
+    dy = y - y.mean()
+    blocked = watchtime._score_grid(t, candidates, dy, float(np.dot(dy, dy)))
+    whole = _whole_grid_r2(t, y, candidates)
+    assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+
+@pytest.mark.parametrize("gamma_grid", GRID_SIZES)
+def test_blocked_fit_matches_the_whole_grid_fit(grid_samples, gamma_grid):
+    config = FitConfig(n_min=2, min_r2=0.0, gamma_grid=gamma_grid)
+    assert fit_weibull_lse(grid_samples, config) == _whole_grid_fit(grid_samples, config)
+
+
+def test_fit_working_set_does_not_grow_with_the_grid():
+    """One 50,000-sample fit at the default config: the whole grid held
+    three (192, n) float64 matrices, about 150 MiB."""
+    draws = sample_weibull(WeibullParams(1.3, 9.0, 0.8), np.random.default_rng(3), 50_000)
+    tracemalloc.start()
+    try:
+        fit_weibull_lse(draws)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 40 * 2**20
 
 
 # --- fusion ----------------------------------------------------------------
