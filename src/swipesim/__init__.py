@@ -32,16 +32,7 @@ from .harness import (
     simulate_one,
     train_policy,
 )
-from .media import (
-    Playlist,
-    RangeSegment,
-    Trace,
-    VideoMeta,
-    VideoState,
-    WatchRecord,
-    advance_playback,
-    swipe,
-)
+from .media import RangeSegment, Trace, VideoMeta, VideoState, WatchRecord, swipe
 from .policy import (
     MlpNet,
     PolicyConfig,

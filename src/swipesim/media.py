@@ -1,7 +1,7 @@
 """Domain model for swipe-driven short-video playback.
 
-Videos, playlists, buffered ranges, bandwidth traces, and the bookkeeping
-needed to split downloaded bits into watched and wasted at swipe time.
+Videos, buffered ranges, bandwidth traces, and the bookkeeping needed to
+split downloaded bits into watched and wasted at swipe time.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Iterator
+from typing import TYPE_CHECKING
 
 if TYPE_CHECKING:
     from .watchtime import WeibullParams
@@ -96,19 +96,17 @@ class VideoState:
         if self.chosen_bitrate == 0.0:
             self.chosen_bitrate = self.meta.bitrate_ladder[0]
 
-    def delivered_bits(self) -> float:
-        # Plain left-to-right sums from 0.0, here and below: Python 3.12's
-        # `sum` of floats compensates its rounding and would give other bytes.
-        total = 0.0
-        for seg in self.segments:
-            total += seg.delivered_bits
-        return total
+    def split_bits(self, watch_s: float) -> tuple[float, float]:
+        """Delivered bits split at media position `watch_s`: (watched, wasted).
 
-    def watched_prefix_bits(self, watch_s: float) -> float:
-        total = 0.0
+        Plain left-to-right sums from 0.0: Python 3.12's `sum` of floats
+        compensates its rounding and would give other bytes.
+        """
+        delivered = watched = 0.0
         for seg in self.segments:
-            total += seg.watched_bits(watch_s)
-        return total
+            delivered += seg.delivered_bits
+            watched += seg.watched_bits(watch_s)
+        return watched, delivered - watched
 
 
 @dataclass(frozen=True)
@@ -191,58 +189,6 @@ class Trace:
         return self.segment_at(t_s)[2]
 
 
-class Playlist:
-    """Bounded FIFO of videos: index 0 plays, the rest are preload candidates.
-
-    Pulls from `source` to keep up to `depth` entries. When the source runs
-    dry the playlist simply shrinks; a drained playlist ends the session.
-    """
-
-    def __init__(self, source: Iterator[VideoState], depth: int = 5):
-        if depth < 1:
-            raise ValueError("queue depth must be >= 1")
-        self._source = source
-        self.depth = depth
-        self.videos: list[VideoState] = []
-        self.refill()
-
-    def refill(self) -> list[VideoState]:
-        """Top up to `depth` from the source; returns the videos added."""
-        added: list[VideoState] = []
-        while len(self.videos) < self.depth:
-            nxt = next(self._source, None)
-            if nxt is None:
-                break
-            self.videos.append(nxt)
-            added.append(nxt)
-        return added
-
-    @property
-    def current(self) -> VideoState:
-        return self.videos[0]
-
-    def __len__(self) -> int:
-        return len(self.videos)
-
-    def __getitem__(self, i: int) -> VideoState:
-        return self.videos[i]
-
-    def __iter__(self) -> Iterator[VideoState]:
-        return iter(self.videos)
-
-    def __bool__(self) -> bool:
-        return bool(self.videos)
-
-
-@dataclass(frozen=True)
-class SwipeResult:
-    """Outcome of a swipe: accounting for the departing video plus refills."""
-
-    wasted_bits: float
-    watched_bits: float
-    added: tuple[VideoState, ...]
-
-
 def advance_playback(video: VideoState, dt_s: float) -> float:
     """Advance the playhead by up to `dt_s` of buffered media.
 
@@ -261,21 +207,19 @@ def advance_playback(video: VideoState, dt_s: float) -> float:
     return dt_s - playable
 
 
-def swipe(playlist: Playlist, watch_time_s: float) -> SwipeResult:
-    """Remove the playing video, splitting its delivered bits at `watch_time_s`.
+def swipe(videos: list[VideoState], watch_time_s: float) -> tuple[float, float]:
+    """Remove the playing video `videos[0]`; return its (watched, wasted) bits.
 
     Bits covering media up to `watch_time_s` count as watched; the rest of
-    what was delivered for the departing video is waste. The playlist then
-    refills from its source. Requires watch_time_s >= the departing playhead.
+    what was delivered for the departing video is waste. Requires
+    watch_time_s >= the departing playhead.
     """
-    if not playlist:
-        raise IndexError("swipe on an empty playlist")
-    v0 = playlist.videos[0]
+    if not videos:
+        raise IndexError("swipe on an empty queue")
+    v0 = videos[0]
     if watch_time_s < v0.play_pos_s - EPS_S:
         raise ValueError(
             f"watch_time_s {watch_time_s} behind playhead {v0.play_pos_s}"
         )
-    watched = v0.watched_prefix_bits(watch_time_s)
-    wasted = v0.delivered_bits() - watched
-    playlist.videos.pop(0)
-    return SwipeResult(wasted_bits=wasted, watched_bits=watched, added=tuple(playlist.refill()))
+    del videos[0]
+    return v0.split_bits(watch_time_s)

@@ -55,6 +55,10 @@ class PolicyConfig:
     hidden_sizes: tuple[int, ...] = (128, 64)
     include_watch_estimates: bool = True
 
+    def __post_init__(self) -> None:
+        if self.k < 1:
+            raise ValueError(f"k must be at least 1, got {self.k}")
+
     @property
     def state_dim(self) -> int:
         return FIELDS_PER_VIDEO * self.k + 3

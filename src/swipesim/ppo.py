@@ -9,7 +9,7 @@ MLPs. Two Adam optimizers, one per net.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 import numpy as np
@@ -377,11 +377,10 @@ def train(
 
 
 def write_learning_curve(logs: Iterable[EpisodeLog], path) -> None:
-    """CSV with header episode,mean_reward,mean_rebuffer_s,waste_ratio,mean_range_s."""
+    """CSV with one column per `EpisodeLog` field, in field order; each
+    value is written as its `repr`."""
+    names = [f.name for f in fields(EpisodeLog)]
     with open(path, "w") as fh:
-        fh.write("episode,mean_reward,mean_rebuffer_s,waste_ratio,mean_range_s\n")
+        fh.write(",".join(names) + "\n")
         for row in logs:
-            fh.write(
-                f"{row.episode},{row.mean_reward!r},{row.mean_rebuffer_s!r},"
-                f"{row.waste_ratio!r},{row.mean_range_s!r}\n"
-            )
+            fh.write(",".join(repr(getattr(row, name)) for name in names) + "\n")

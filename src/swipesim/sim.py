@@ -18,7 +18,6 @@ import numpy as np
 from .media import (
     BITS_PER_MEGABIT,
     EPS_S,
-    Playlist,
     RangeSegment,
     Trace,
     VideoState,
@@ -59,6 +58,8 @@ class SimConfig:
             raise ValueError(f"b_max_s must be positive, got {self.b_max_s}")
         if self.queue_depth < 1:
             raise ValueError(f"queue_depth must be at least 1, got {self.queue_depth}")
+        if self.videos_per_session < 1:
+            raise ValueError(f"videos_per_session must be at least 1, got {self.videos_per_session}")
         if not 0.0 <= self.rtt_min_ms <= self.rtt_max_ms < math.inf:
             raise ValueError(
                 "rtt_min_ms and rtt_max_ms must satisfy 0 <= rtt_min_ms <= rtt_max_ms < inf, "
@@ -259,10 +260,12 @@ class _Session:
         # First-byte latencies (ms) drawn ahead in blocks, next one last.
         self.rtt_draws: list[float] = []
         self.retention = retention
-        self.playlist = Playlist(playlist_source, depth=config.queue_depth)
+        # The queue: index 0 plays, the rest are preload candidates. The step
+        # loop holds this list, so it is mutated in place, never rebound.
+        self.videos: list[VideoState] = []
+        self.source = playlist_source
         self.watch_times: dict[str, float] = {}
-        for v in self.playlist:
-            self._sample_watch(v)
+        self._refill()
         self.metrics = SessionMetrics(trace_id=trace.trace_id)
         # One `(begin_s, end_s, wasted_bits)` tuple per event, in start
         # order: a swipe at `t` is `(t, t, bits)`, a stall `(start, end, None)`.
@@ -272,8 +275,16 @@ class _Session:
         self.history: list[tuple[float, float]] = []
         self.t = 0.0
 
-    def _sample_watch(self, video: VideoState) -> None:
-        self.watch_times[video.meta.video_id] = self.retention.sample(video, self.watch_rng)
+    def _refill(self) -> None:
+        """Top the queue up to `queue_depth` from the source, drawing each
+        new video's watch time as it joins; a dry source leaves it short."""
+        videos = self.videos
+        while len(videos) < self.config.queue_depth:
+            video = next(self.source, None)
+            if video is None:
+                break
+            videos.append(video)
+            self.watch_times[video.meta.video_id] = self.retention.sample(video, self.watch_rng)
 
     # -- download side ---------------------------------------------------
 
@@ -281,7 +292,7 @@ class _Session:
         """Ask the strategy for a task at time `t`; None means pause."""
         cfg = self.config
         q, rtt_est = estimate_network(self.history, cfg)
-        videos = self.playlist.videos
+        videos = self.videos
         decision = self.strategy.decide(videos, q, rtt_est, cfg.b_max_s, self.action_rng)
         if decision is None:
             return None
@@ -336,14 +347,12 @@ class _Session:
     # -- playback side -----------------------------------------------------
 
     def _swipe_now(self, wall: float) -> None:
-        v = self.playlist.current
-        res = swipe(self.playlist, v.play_pos_s)
-        self.events.append((wall, wall, res.wasted_bits))
-        self.metrics.wasted_bits += res.wasted_bits
-        self.metrics.watched_bits += res.watched_bits
+        watched, wasted = swipe(self.videos, self.videos[0].play_pos_s)
+        self.events.append((wall, wall, wasted))
+        self.metrics.wasted_bits += wasted
+        self.metrics.watched_bits += watched
         self.metrics.n_swipes += 1
-        for nv in res.added:
-            self._sample_watch(nv)
+        self._refill()
 
     # -- orchestration -----------------------------------------------------
 
@@ -361,7 +370,7 @@ class _Session:
         dt = cfg.step_ms / 1000.0
         pause = cfg.pause_ms / 1000.0
         t_end = cfg.max_session_s - 1e-12
-        videos = self.playlist.videos
+        videos = self.videos
         watch_times = self.watch_times
         events = self.events
         delivered = self.metrics.actions.delivered_s
@@ -459,9 +468,8 @@ class _Session:
         m = self.metrics
         # Residual buffered bits of whatever is still queued count as waste
         # (non-empty only when the session hit its wall-clock cap).
-        for v in self.playlist:
-            watched = v.watched_prefix_bits(v.play_pos_s)
-            wasted = v.delivered_bits() - watched
+        for v in self.videos:
+            watched, wasted = v.split_bits(v.play_pos_s)
             m.watched_bits += watched
             m.wasted_bits += wasted
         m.wall_time_s = self.t

@@ -99,6 +99,7 @@ class FitError(ValueError):
 class FitConfig:
     """Knobs for the least-squares fitter and its acceptance thresholds.
 
+    A group needs at least `n_min` samples (at least 1) to be fitted.
     `gamma_grid` candidate locations (at least 1) seed the location search.
     `bucket_edges` rise strictly from 0 to inf, so every positive duration
     falls in exactly one bucket.
@@ -110,6 +111,8 @@ class FitConfig:
     bucket_edges: tuple[float, ...] = DEFAULT_BUCKET_EDGES
 
     def __post_init__(self):
+        if self.n_min < 1:
+            raise ValueError(f"n_min must be at least 1, got {self.n_min}")
         if self.gamma_grid < 1:
             raise ValueError(f"gamma_grid must be at least 1, got {self.gamma_grid}")
         edges = self.bucket_edges

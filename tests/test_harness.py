@@ -738,6 +738,11 @@ def test_fixed_range_sweep_runs_with_the_suites_config(pipeline, tmp_path):
         # An empty location grid leaves the fitter no candidate.
         ("fit", "fit", {"gamma_grid": 0}, "gamma_grid"),
         ("fit", "fit", {"gamma_grid": -3}, "gamma_grid"),
+        # A group whose samples are all dropped would reach the fitter empty.
+        ("fit", "fit", {"n_min": 0}, "n_min"),
+        ("simulate", "sim", {"videos_per_session": 0}, "videos_per_session"),  # every session empty
+        ("simulate", "sim", {"videos_per_session": -1}, "videos_per_session"),
+        ("train", "policy", {"k": 0}, "policy: k"),  # a state of no videos
     ],
 )
 def test_cli_rejects_values_the_engine_or_trainer_cannot_run(

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from conftest import buffer_to, make_video
 from swipesim.media import (
     BITS_PER_MEGABIT,
-    Playlist,
     RangeSegment,
     Trace,
     VideoMeta,
@@ -100,54 +99,49 @@ def test_advance_never_outruns_buffer_or_duration(buffered, pos_frac, dt):
 
 def test_swipe_fully_watched_wastes_nothing():
     v = buffer_to(make_video(duration_s=10.0), 10.0, bitrate_mbps=2.0)
-    pl = Playlist(iter([v]), depth=3)
-    res = swipe(pl, 10.0)
-    assert res.wasted_bits == 0.0
-    assert res.watched_bits == 10.0 * 2.0 * BITS_PER_MEGABIT
-    assert not pl
+    videos = [v]
+    watched, wasted = swipe(videos, 10.0)
+    assert wasted == 0.0
+    assert watched == 10.0 * 2.0 * BITS_PER_MEGABIT
+    assert videos == []
 
 
 def test_swipe_splits_at_watch_time():
     v = buffer_to(make_video(duration_s=20.0), 10.0, bitrate_mbps=2.0)
-    pl = Playlist(iter([v]), depth=3)
-    res = swipe(pl, 4.0)
-    assert res.watched_bits == 4.0 * 2.0 * BITS_PER_MEGABIT
-    assert res.wasted_bits == 6.0 * 2.0 * BITS_PER_MEGABIT == 12e6
+    watched, wasted = swipe([v], 4.0)
+    assert watched == 4.0 * 2.0 * BITS_PER_MEGABIT
+    assert wasted == 6.0 * 2.0 * BITS_PER_MEGABIT == 12e6
 
 
 def test_swipe_sums_mixed_bitrate_segments():
     v = make_video(duration_s=20.0)
     buffer_to(v, 5.0, bitrate_mbps=1.0)
     buffer_to(v, 8.0, bitrate_mbps=3.0)
-    pl = Playlist(iter([v]), depth=1)
-    res = swipe(pl, 6.0)
-    assert res.watched_bits == pytest.approx((5.0 * 1.0 + 1.0 * 3.0) * BITS_PER_MEGABIT)
-    assert res.wasted_bits == pytest.approx(2.0 * 3.0 * BITS_PER_MEGABIT)
-    assert res.watched_bits + res.wasted_bits == pytest.approx(v.delivered_bits())
+    watched, wasted = swipe([v], 6.0)
+    assert watched == pytest.approx((5.0 * 1.0 + 1.0 * 3.0) * BITS_PER_MEGABIT)
+    assert wasted == pytest.approx(2.0 * 3.0 * BITS_PER_MEGABIT)
+    assert watched + wasted == pytest.approx(sum(seg.delivered_bits for seg in v.segments))
 
 
-def test_swipe_refills_and_flags_end():
-    vids = [make_video(f"v{i}") for i in range(4)]
-    pl = Playlist(iter(vids), depth=2)
-    res = swipe(pl, 0.0)
-    assert [v.meta.video_id for v in pl] == ["v1", "v2"]
-    assert [v.meta.video_id for v in res.added] == ["v2"]
-    assert pl
-    swipe(pl, 0.0)
-    swipe(pl, 0.0)
-    res = swipe(pl, 0.0)
-    assert not pl
+def test_swipe_removes_only_the_playing_video():
+    vids = [make_video(f"v{i}") for i in range(3)]
+    videos = list(vids)
+    swipe(videos, 0.0)
+    assert [v.meta.video_id for v in videos] == ["v1", "v2"]
+    swipe(videos, 0.0)
+    swipe(videos, 0.0)
+    assert videos == []
 
 
 def test_swipe_guards():
-    pl = Playlist(iter([]), depth=2)
     with pytest.raises(IndexError):
-        swipe(pl, 1.0)
+        swipe([], 1.0)
     v = make_video()
     v.play_pos_s = 5.0
-    pl = Playlist(iter([v]), depth=1)
+    videos = [v]
     with pytest.raises(ValueError):
-        swipe(pl, 4.0)
+        swipe(videos, 4.0)
+    assert videos == [v]
 
 
 @given(
@@ -158,9 +152,11 @@ def test_watched_prefix_is_monotone_and_bounded(edges, watch):
     v = make_video(duration_s=100.0)
     for extent in edges:
         buffer_to(v, v.buffered_s + extent, bitrate_mbps=1.5)
-    w1 = v.watched_prefix_bits(watch)
-    w2 = v.watched_prefix_bits(watch + 1.0)
-    assert 0.0 <= w1 <= w2 <= v.delivered_bits() + 1e-6
+    w1, wasted1 = v.split_bits(watch)
+    w2, wasted2 = v.split_bits(watch + 1.0)
+    delivered = w1 + wasted1
+    assert 0.0 <= w1 <= w2 <= delivered + 1e-6
+    assert w2 + wasted2 == pytest.approx(delivered)
 
 
 # --- traces --------------------------------------------------------------
@@ -208,25 +204,3 @@ def test_trace_single_sample_holds_forever():
     assert tr.duration_s == 1.0
     for t in (0.0, 0.7, 13.2):
         assert tr.bandwidth_at(t) == 4.0
-
-
-# --- playlist ------------------------------------------------------------
-
-
-def test_playlist_keeps_depth_until_source_dries():
-    vids = [make_video(f"v{i}") for i in range(7)]
-    pl = Playlist(iter(vids), depth=5)
-    assert len(pl) == 5
-    assert pl.current.meta.video_id == "v0"
-    pl.videos.pop(0)
-    added = pl.refill()
-    assert len(pl) == 5 and len(added) == 1
-    for _ in range(6):
-        pl.videos.pop(0)
-        pl.refill()
-    assert not pl
-
-
-def test_playlist_rejects_bad_depth():
-    with pytest.raises(ValueError):
-        Playlist(iter([]), depth=0)

@@ -1,6 +1,7 @@
 import bisect
 import dataclasses
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass, field
@@ -15,7 +16,6 @@ from swipesim.demand import DemandVector, compute_demands, fitted_survival, unif
 from swipesim.media import (
     BITS_PER_MEGABIT,
     EPS_S,
-    Playlist,
     RangeSegment,
     Trace,
     VideoMeta,
@@ -109,6 +109,33 @@ def test_decisions_poll_every_half_second_when_idle():
     cfg = SimConfig(videos_per_session=1)
     run_session(flat_trace(1.0), iter([video]), retention, Probe(), cfg, seed=0)
     assert seen == pytest.approx([0.0, 0.5, 1.0, 1.5, 2.0], abs=1e-9)
+
+
+@pytest.mark.parametrize("depth", [1, 3, 7, 9])
+def test_session_queue_keeps_depth_until_source_dries(depth):
+    """The queue holds the next `queue_depth` unswiped videos, in source
+    order, and shrinks only once the source runs dry."""
+    seen: list[tuple[int, list[str]]] = []
+    naive = NaiveFixedStrategy("naive_1s", 1.0)
+
+    class Spy(Strategy):
+        name = "spy"
+
+        def decide(self, videos, q_mbps, rtt_ms, b_max_s, rng):
+            seen.append((len(videos), [v.meta.video_id for v in videos]))
+            return naive.decide(videos, q_mbps, rtt_ms, b_max_s, rng)
+
+    ids = [f"v{i}" for i in range(7)]
+    retention = RetentionSource(empirical={vid: [1.5] for vid in ids})
+    cfg = SimConfig(queue_depth=depth, videos_per_session=len(ids))
+    source = (make_video(vid, duration_s=4.0) for vid in ids)
+    m = run_session(flat_trace(4.0), source, retention, Spy(), cfg, seed=0)
+    assert m.n_swipes == len(ids)
+    assert {queued[0] for _, queued in seen} == set(ids)
+    for n, queued in seen:
+        swiped = ids.index(queued[0])
+        assert n == min(depth, len(ids) - swiped)
+        assert queued == ids[swiped : swiped + n]
 
 
 # --- network estimation and rate selection -----------------------------------
@@ -490,10 +517,10 @@ class _PerStepSession:
         self.action_rng = np.random.default_rng(action_ss)
         self.rtt_draws = []
         self.retention = retention
-        self.playlist = Playlist(playlist_source, depth=config.queue_depth)
+        self.videos = []
+        self.source = playlist_source
         self.watch_times = {}
-        for v in self.playlist:
-            self._sample_watch(v)
+        self._refill()
         self.metrics = _Totals(trace_id=trace.trace_id)
         self.events = []
         self.history = []
@@ -502,8 +529,12 @@ class _PerStepSession:
         self.cancel_pending = False
         self.t = 0.0
 
-    def _sample_watch(self, video):
-        self.watch_times[video.meta.video_id] = self.retention.sample(video, self.watch_rng)
+    def _refill(self):
+        """Pull the whole top-up first, then draw its watch times in order."""
+        added = list(itertools.islice(self.source, self.config.queue_depth - len(self.videos)))
+        self.videos += added
+        for v in added:
+            self.watch_times[v.meta.video_id] = self.retention.sample(v, self.watch_rng)
 
     def _draw_rtt_ms(self):
         if not self.rtt_draws:
@@ -514,11 +545,11 @@ class _PerStepSession:
     def _decide(self):
         cfg = self.config
         q, rtt_est = _fold_estimate_network(self.history, cfg)
-        decision = self.strategy.decide(self.playlist, q, rtt_est, cfg.b_max_s, self.action_rng)
+        decision = self.strategy.decide(self.videos, q, rtt_est, cfg.b_max_s, self.action_rng)
         if decision is None:
             self.sleep_until = self.t + cfg.pause_ms / 1000.0
             return
-        video = self.playlist[decision.index]
+        video = self.videos[decision.index]
         bitrate = abr_select(video.meta.bitrate_ladder, q, cfg.abr_safety)
         headroom = cfg.b_max_s - (video.buffered_s - video.play_pos_s)
         duration = min(decision.duration_s, video.meta.duration_s - video.buffered_s, headroom)
@@ -556,13 +587,12 @@ class _PerStepSession:
             del self.history[0]
 
     def _swipe_now(self, wall):
-        res = swipe(self.playlist, self.playlist.current.play_pos_s)
-        self.events.append(SwipeEvent(time_s=wall, wasted_bits=res.wasted_bits))
-        self.metrics.wasted_bits += res.wasted_bits
-        self.metrics.watched_bits += res.watched_bits
+        watched, wasted = swipe(self.videos, self.videos[0].play_pos_s)
+        self.events.append(SwipeEvent(time_s=wall, wasted_bits=wasted))
+        self.metrics.wasted_bits += wasted
+        self.metrics.watched_bits += watched
         self.metrics.n_swipes += 1
-        for nv in res.added:
-            self._sample_watch(nv)
+        self._refill()
         if self.active is not None:
             self.cancel_pending = True
 
@@ -590,7 +620,7 @@ class _PerStepSession:
             self._complete_task(end_wall=self.t + dt)
 
     def _play(self, dt):
-        videos = self.playlist.videos
+        videos = self.videos
         remaining = dt
         while remaining > 1e-12 and videos:
             v = videos[0]
@@ -613,7 +643,7 @@ class _PerStepSession:
         cfg = self.config
         dt = cfg.step_ms / 1000.0
         t_end = cfg.max_session_s - 1e-12
-        videos = self.playlist.videos
+        videos = self.videos
         while videos and self.t < t_end:
             if self.active is None and self.t >= self.sleep_until - 1e-12:
                 self._decide()
@@ -631,10 +661,10 @@ class _PerStepSession:
     def _finalize(self):
         if self.active is not None:
             self._cancel_task(end_wall=self.t)
-        for v in self.playlist:
-            watched = v.watched_prefix_bits(v.play_pos_s)
+        for v in self.videos:
+            watched, wasted = v.split_bits(v.play_pos_s)
             self.metrics.watched_bits += watched
-            self.metrics.wasted_bits += v.delivered_bits() - watched
+            self.metrics.wasted_bits += wasted
         self.metrics.wall_time_s = self.t
         actions = self.metrics.actions
         ends = [rec.issued_at_s for rec in actions[1:]] + [math.inf]
@@ -659,7 +689,7 @@ class _PerStepSession:
             "history": [(s.throughput_mbps, s.rtt_ms) for s in self.history],
             "t": self.t,
             "watch_times": self.watch_times,
-            "playlist": list(self.playlist),
+            "videos": list(self.videos),
         }
 
 
@@ -789,13 +819,13 @@ def _logs(session: sim._Session) -> dict:
         "history": session.history,
         "t": session.t,
         "watch_times": session.watch_times,
-        "playlist": list(session.playlist),
+        "videos": list(session.videos),
     }
 
 
 def _assert_sessions_match(got: sim._Session, want: _PerStepSession) -> None:
     """Every metric, action column, event, task sample, watch time and
-    playlist entry of the engine equals the reference's, bit for bit."""
+    queued video of the engine equals the reference's, bit for bit."""
     got_logs, want_logs = _logs(got), want.logs()
     for key in got_logs:
         assert _exact(got_logs[key]) == _exact(want_logs[key]), key
@@ -1047,10 +1077,10 @@ def test_session_sums_are_plain_left_to_right_folds():
     video = make_video(duration_s=10.0)
     for start, rate, bits in ((0.0, 1e10, 1e16), (1.0, 0.7, 0.7), (2.0, 0.7, 0.7)):
         video.segments.append(RangeSegment(start_s=start, bitrate_mbps=rate, delivered_bits=bits))
-    for got, parts in (
-        (video.delivered_bits(), [seg.delivered_bits for seg in video.segments]),
-        (video.watched_prefix_bits(5.0), [seg.watched_bits(5.0) for seg in video.segments]),
-    ):
+    folds = []
+    for parts in ([seg.delivered_bits for seg in video.segments], [seg.watched_bits(5.0) for seg in video.segments]):
         fold = functools.reduce(operator.add, parts, 0.0)
         assert math.fsum(parts) != fold
-        assert got == fold
+        folds.append(fold)
+    delivered, watched = folds
+    assert video.split_bits(5.0) == (watched, delivered - watched)
