@@ -51,6 +51,7 @@ from .ppo import (
     compute_reward,
     discounted_returns,
     ppo_update,
+    stack_decisions,
     train,
     write_learning_curve,
 )

@@ -58,6 +58,23 @@ class PolicyConfig:
     def __post_init__(self) -> None:
         if self.k < 1:
             raise ValueError(f"k must be at least 1, got {self.k}")
+        # The quantile levels feed `weibull_quantile`; the caps divide
+        # features; a zero-width layer divides its init scale by zero.
+        for name in ("e_high", "e_low"):
+            value = getattr(self, name)
+            if not 0.0 <= value < 1.0:
+                raise ValueError(f"{name} must be in [0, 1), got {value}")
+        for name in ("duration_cap_s", "throughput_cap_mbps", "rtt_cap_ms"):
+            value = getattr(self, name)
+            if not value > 0.0:
+                raise ValueError(f"{name} must be positive, got {value}")
+        if any(width < 1 for width in self.hidden_sizes):
+            raise ValueError(f"hidden_sizes entries must be at least 1, got {list(self.hidden_sizes)}")
+        # A reversed range would map larger raw actions to shorter ranges.
+        if not self.range_min_s < self.range_max_s:
+            raise ValueError(
+                f"range_min_s must be below range_max_s, got {self.range_min_s} and {self.range_max_s}"
+            )
 
     @property
     def state_dim(self) -> int:
@@ -190,19 +207,27 @@ class Mlp:
         return cache[-1], cache
 
     def backward(self, cache: list[np.ndarray], dout: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        """Gradients of a scalar loss given d(loss)/d(output); list of (dW, db)."""
+        """Gradients of a scalar loss given d(loss)/d(output); list of (dW, db).
+
+        Consumes `cache`: each layer's input leaves the list once its dW is
+        taken, and only its ReLU mask stays for the next delta, so a batch
+        holds one activation matrix fewer at a time.
+        """
         grads: list[tuple[np.ndarray, np.ndarray]] = [None] * self.n_layers  # type: ignore[list-item]
         delta = np.asarray(dout, dtype=np.float64)
+        cache.pop()  # the output
         for i in range(self.n_layers - 1, -1, -1):
-            h_in = cache[i]
+            h_in = cache.pop()
             if i < self.n_layers - 1:
-                # ReLU mask of this layer's activation output. `delta` here
-                # is always the product below, never the caller's `dout`.
-                delta *= cache[i + 1] > 0.0
+                # `delta` here is always the product below, never the
+                # caller's `dout`.
+                delta *= mask
             dw = h_in.T @ delta
             db = delta.sum(axis=0)
             grads[i] = (dw, db)
             if i > 0:
+                mask = h_in > 0.0
+                del h_in
                 delta = delta @ self.weights[i].T
         return grads
 

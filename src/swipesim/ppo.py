@@ -95,6 +95,16 @@ class TrainConfig:
             value = getattr(self, name)
             if value < least:
                 raise ValueError(f"{name} must be at least {least}, got {value}")
+        if not 0.0 < self.lr < math.inf:
+            raise ValueError(f"lr must be positive and finite, got {self.lr}")
+        # A non-positive clip_eps inverts np.clip's bounds and zeroes the
+        # clipped ratio; a discount above 1 lets returns grow without bound.
+        if not self.clip_eps > 0.0:
+            raise ValueError(f"clip_eps must be positive, got {self.clip_eps}")
+        for name in ("discount", "gae_lambda"):
+            value = getattr(self, name)
+            if not 0.0 <= value <= 1.0:
+                raise ValueError(f"{name} must be in [0, 1], got {value}")
 
 
 def discounted_returns(rewards: Sequence[float], dones: Sequence[bool], discount: float) -> np.ndarray:
@@ -260,18 +270,31 @@ class PpoOptimizers:
         )
 
 
+def stack_decisions(sampled: Sequence[PolicyExtras]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sampled decisions as batch arrays, one row each: features
+    (n, state_dim), raw draws (n,) and log-probabilities (n,)."""
+    features = np.stack([x.features for x in sampled])
+    raw = np.array([x.raw for x in sampled], dtype=np.float64)
+    log_probs = np.array([x.log_prob for x in sampled], dtype=np.float64)
+    return features, raw, log_probs
+
+
 def ppo_update(
     net: MlpNet,
     optimizers: PpoOptimizers,
-    batch: Sequence[PolicyExtras],
+    features: np.ndarray,
+    raw: np.ndarray,
+    old_log_probs: np.ndarray,
     rewards: Sequence[float],
     dones: Sequence[bool],
     cfg: TrainConfig,
 ) -> dict:
     """One PPO update over a batch of sampled decisions; mutates the nets.
 
-    `rewards[i]` is the reward of `batch[i]`, and `dones[i]` marks the last
-    decision of an episode.
+    Row i of the batch is one decision: its state `features[i]`, its raw
+    draw `raw[i]` and that draw's log-probability `old_log_probs[i]`
+    (see `stack_decisions`), its reward `rewards[i]`, and `dones[i]` marks
+    the last decision of an episode.
 
     Before the first epoch, one stacked critic forward over the batch gives
     the old values: the weights the rollouts saw, since nothing changes
@@ -280,13 +303,11 @@ def ppo_update(
     values, with GAE as a config option. A non-finite old value or loss
     raises FloatingPointError.
     """
-    if not batch:
+    n = len(features)
+    if n == 0:
         return {"actor_loss": 0.0, "critic_loss": 0.0, "n": 0}
-    features = np.stack([x.features for x in batch])
-    raw = np.array([x.raw for x in batch], dtype=np.float64)
-    old_log_probs = np.array([x.log_prob for x in batch], dtype=np.float64)
-    values, _ = net.critic.forward(features[:, None, :])
-    old_values = values[:, 0, 0]
+    # Only the output outlives the statement, not the forward's cache.
+    old_values = net.critic.forward(features[:, None, :])[0][:, 0, 0]
     if not np.isfinite(old_values).all():
         raise FloatingPointError("non-finite critic value in the batch")
 
@@ -295,7 +316,7 @@ def ppo_update(
         advantages = gae_advantages(rewards, old_values, dones, cfg.discount, cfg.gae_lambda)
     else:
         advantages = returns - old_values
-    if cfg.normalize_advantages and len(batch) > 1:
+    if cfg.normalize_advantages and n > 1:
         std = float(advantages.std())
         if std > 1e-12:
             advantages = (advantages - advantages.mean()) / std
@@ -307,7 +328,7 @@ def ppo_update(
         optimizers.actor.step(a_grads)
         c_loss, c_grads = critic_loss_and_grads(net.critic, features, returns)
         optimizers.critic.step(c_grads)
-    return {"n": len(batch), "actor_loss": a_loss, "critic_loss": c_loss, **a_stats}
+    return {"n": n, "actor_loss": a_loss, "critic_loss": c_loss, **a_stats}
 
 
 @dataclass
@@ -342,21 +363,23 @@ def train(
     strategy = LearnedRangeStrategy("deload-train", net)
     picker = np.random.default_rng(np.random.SeedSequence(entropy=(seed, 0x7261)))
     logs: list[EpisodeLog] = []
-    # The sampled decisions since the last update, with their rewards and
-    # whether each ends its episode.
-    batch: list[PolicyExtras] = []
+    # The sampled decisions since the last update, as one
+    # `stack_decisions` triple per episode that had any, with their
+    # rewards and whether each ends its episode.
+    stacked: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
     rewards: list[float] = []
     dones: list[bool] = []
     for ep in range(train_cfg.episodes):
         trace = traces[int(picker.integers(len(traces)))]
         metrics = session(strategy, trace, (seed, ep))
-        episode_start = len(batch)
+        sampled = []
         for extras, reward in zip(metrics.actions.policy, metrics.actions.reward):
             if extras is not None:
-                batch.append(extras)
+                sampled.append(extras)
                 rewards.append(reward)
                 dones.append(False)
-        if len(batch) > episode_start:
+        if sampled:
+            stacked.append(stack_decisions(sampled))
             dones[-1] = True
         ranges = metrics.actions.duration_s
         logs.append(
@@ -368,12 +391,22 @@ def train(
                 mean_range_s=float(np.mean(ranges)) if ranges else 0.0,
             )
         )
-        if (ep + 1) % train_cfg.batch_episodes == 0 and batch:
-            ppo_update(net, optimizers, batch, rewards, dones, train_cfg)
-            batch, rewards, dones = [], [], []
-    if batch:
-        ppo_update(net, optimizers, batch, rewards, dones, train_cfg)
+        if (ep + 1) % train_cfg.batch_episodes == 0 and stacked:
+            _update(net, optimizers, stacked, rewards, dones, train_cfg)
+    if stacked:
+        _update(net, optimizers, stacked, rewards, dones, train_cfg)
     return net, logs
+
+
+def _update(net, optimizers, stacked, rewards, dones, cfg) -> None:
+    """`ppo_update` on the decisions gathered since the last update, then
+    empties the three lists. The episodes' arrays are joined and dropped
+    first, so the update holds its batch once."""
+    features, raw, log_probs = (np.concatenate(column) for column in zip(*stacked))
+    stacked.clear()
+    ppo_update(net, optimizers, features, raw, log_probs, rewards, dones, cfg)
+    rewards.clear()
+    dones.clear()
 
 
 def write_learning_curve(logs: Iterable[EpisodeLog], path) -> None:

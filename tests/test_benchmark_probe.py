@@ -59,3 +59,49 @@ def test_traced_run_counts_every_layer_its_strategies_run(pipeline, tmp_path, mo
         for strategy in strategies:
             assert by_strategy.get(strategy, 0.0) > 0.0, (name, strategy)
     assert probe.counts["watchtime.weibull_survival"] > 0
+
+
+def test_traced_training_counts_every_decision_it_updates_on(monkeypatch):
+    """`ppo.transitions` is the `len()` of `ppo_update`'s third argument.
+    A traced `train_policy` run must count exactly the sampled decisions
+    its sessions hand to updates, and record a span for every update, loss
+    pass and Adam step. A change to `ppo_update`'s signature that moved
+    the batch off that argument would miscount here."""
+    monkeypatch.syspath_prepend(str(BENCHMARK))
+    from conftest import flat_trace
+    from swbench.layers import Spans
+    from swbench.probe import Probe
+
+    from swipesim import harness
+    from swipesim.media import VideoMeta
+    from swipesim.policy import PolicyConfig
+    from swipesim.ppo import TrainConfig
+    from swipesim.sim import RetentionSource, SimConfig
+    from swipesim.watchtime import WeibullParams
+
+    sampled = []
+    simulate_one = harness.simulate_one
+
+    def counting_session(*args, **kwargs):
+        m = simulate_one(*args, **kwargs)
+        sampled.append(sum(x is not None for x in m.actions.policy))
+        return m
+
+    monkeypatch.setattr(harness, "simulate_one", counting_session)
+    catalog = [VideoMeta(f"m{i}", 6.0 + 4.0 * i, (0.5, 1.5, 3.0)) for i in range(4)]
+    retention = RetentionSource(params={m.video_id: WeibullParams(1.2, 6.0, 0.3) for m in catalog})
+    train_cfg = TrainConfig(lr=1e-3, episodes=6, batch_episodes=4, epochs=2)
+    with Probe(trace=True) as probe:
+        harness.train_policy(
+            [flat_trace(0.8, "t0"), flat_trace(3.0, "t1")], catalog, retention, None,
+            PolicyConfig(k=3, hidden_sizes=(8,), include_watch_estimates=False), train_cfg,
+            SimConfig(videos_per_session=4, max_session_s=60.0), seed=2,
+        )
+    assert len(sampled) == 6 and sum(sampled) > 0
+    assert probe.counts["ppo.transitions"] == sum(sampled)
+    spans = Spans(probe)
+    updates = 2  # after episode 4, and the last two episodes at the end
+    assert spans.calls("ppo.ppo_update") == updates
+    assert spans.calls("ppo.actor_loss_and_grads") == updates * train_cfg.epochs
+    assert spans.calls("ppo.critic_loss_and_grads") == updates * train_cfg.epochs
+    assert spans.calls("ppo.adam_step") == 2 * updates * train_cfg.epochs

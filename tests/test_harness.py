@@ -743,6 +743,23 @@ def test_fixed_range_sweep_runs_with_the_suites_config(pipeline, tmp_path):
         ("simulate", "sim", {"videos_per_session": 0}, "videos_per_session"),  # every session empty
         ("simulate", "sim", {"videos_per_session": -1}, "videos_per_session"),
         ("train", "policy", {"k": 0}, "policy: k"),  # a state of no videos
+        # Caps divide the state features.
+        ("train", "policy", {"duration_cap_s": 0.0}, "duration_cap_s"),
+        ("train", "policy", {"throughput_cap_mbps": -1.0}, "throughput_cap_mbps"),
+        ("train", "policy", {"rtt_cap_ms": 0.0}, "rtt_cap_ms"),
+        # Quantile levels outside [0, 1) have no Weibull quantile.
+        ("train", "policy", {"e_high": 1.0}, "e_high"),
+        ("train", "policy", {"e_low": -0.1}, "e_low"),
+        ("train", "policy", {"hidden_sizes": [0]}, "hidden_sizes"),  # a layer of no units
+        # A reversed range trains a policy whose larger actions are shorter.
+        ("train", "policy", {"range_min_s": 5.0, "range_max_s": 1.0}, "range_min_s"),
+        ("train", "train", {"lr": math.nan}, "lr"),
+        ("train", "train", {"lr": 0.0}, "lr"),
+        ("train", "train", {"discount": 2.0}, "discount"),
+        ("train", "train", {"gae_lambda": -0.5}, "gae_lambda"),
+        # A non-positive clip inverts np.clip's bounds: the clipped ratio is 0.
+        ("train", "train", {"clip_eps": -1.0}, "clip_eps"),
+        ("train", "train", {"clip_eps": 0.0}, "clip_eps"),
     ],
 )
 def test_cli_rejects_values_the_engine_or_trainer_cannot_run(

@@ -582,6 +582,25 @@ def test_checkpoint_round_trip(tmp_path):
     assert policy_forward(net, state) == policy_forward(loaded, state)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("e_high", "1.5"), ("e_low", "-0.25"), ("range_min_s", "20.0"), ("duration_cap_s", "0.0"), ("rtt_cap_ms", "-5.0")],
+)
+def test_checkpoint_with_a_config_the_trainer_rejects_is_malformed(tmp_path, field, value):
+    """A checkpoint's config line goes through the same checks as the
+    config file's policy section."""
+    p = tmp_path / "net.ckpt"
+    save_checkpoint(MlpNet.create(PolicyConfig(k=2, hidden_sizes=(4,)), seed=1), p)
+    lines = p.read_text().splitlines()
+    order = ["k", "e_high", "e_low", "range_min_s", "range_max_s", "duration_cap_s", "throughput_cap_mbps", "rtt_cap_ms"]
+    parts = lines[1].split()
+    parts[1 + order.index(field)] = value
+    lines[1] = " ".join(parts)
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=f"net.ckpt:2: malformed checkpoint: {field}"):
+        load_checkpoint(p)
+
+
 def test_checkpoint_rejects_foreign_files(tmp_path):
     p = tmp_path / "bad.ckpt"
     p.write_text("something else entirely\n")
@@ -695,7 +714,7 @@ def test_nan_critic_weight_raises_in_update_and_training(monkeypatch):
     non-finite old value when the update evaluates its batch."""
     from conftest import flat_trace
     from swipesim import harness
-    from swipesim.ppo import PpoOptimizers, TrainConfig, ppo_update
+    from swipesim.ppo import PpoOptimizers, TrainConfig, ppo_update, stack_decisions
     from swipesim.sim import RetentionSource, SimConfig
 
     net = MlpNet.create(PolicyConfig(), seed=7)
@@ -706,7 +725,7 @@ def test_nan_critic_weight_raises_in_update_and_training(monkeypatch):
     tc = TrainConfig(lr=1e-3)
     before = [p.copy() for p in net.actor.parameters()]
     with pytest.raises(FloatingPointError, match="critic value"):
-        ppo_update(net, PpoOptimizers.create(net, tc), [dec.extras], [1.0], [True], tc)
+        ppo_update(net, PpoOptimizers.create(net, tc), *stack_decisions([dec.extras]), [1.0], [True], tc)
     assert all(np.array_equal(a, b) for a, b in zip(before, net.actor.parameters()))
 
     create = MlpNet.create
