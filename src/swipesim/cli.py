@@ -128,6 +128,21 @@ def cmd_gen_synthetic(args) -> int:
     return 0
 
 
+def _check_output(path, is_dir: bool = False) -> Path:
+    """`path` as a Path, unless the command could only fail to write it
+    after its work: a directory where a file goes, a file where a directory
+    goes, or a file where one of its parent directories goes."""
+    path = Path(path)
+    if path.exists() and path.is_dir() != is_dir:
+        raise UsageError(f"output {path} is {'a file' if is_dir else 'a directory'}")
+    for parent in path.parents:
+        if parent.exists():
+            if not parent.is_dir():
+                raise UsageError(f"output {path}: {parent} is not a directory")
+            break
+    return path
+
+
 def cmd_fit(args) -> int:
     cfg = load_config(args.config)
     if not cfg.paths.watch_records:
@@ -135,9 +150,10 @@ def cmd_fit(args) -> int:
     out = args.out or cfg.paths.param_table
     if not out:
         raise ConfigError("fit needs --out or paths.param_table")
+    out = _check_output(out)
     records = load_watch_records(cfg.paths.watch_records)
     table = build_param_table(records, cfg.fit)
-    Path(out).parent.mkdir(parents=True, exist_ok=True)
+    out.parent.mkdir(parents=True, exist_ok=True)
     table.save(out)
     print(
         f"fitted {len(table.video)} video and {len(table.ladder)} duration-bucket groups "
@@ -157,11 +173,13 @@ def cmd_train(args) -> int:
     out = args.out or (cfg.paths.checkpoint if with_wte else cfg.paths.no_wte_checkpoint)
     if not out:
         raise ConfigError(f"train needs --out or a configured checkpoint path for {args.variant}")
+    out_path = _check_output(out)
+    curve_path = _check_output(out_path.with_name(out_path.stem + "_curve.csv"))
 
     traces = ingest_traces(cfg.paths.traces_glob)
     catalog = load_catalog(cfg.paths.videos)
     retention = load_retention(cfg.paths.retention)
-    table = load_param_table(cfg.paths.param_table) if cfg.paths.param_table else None
+    table = load_param_table(cfg.paths.param_table, catalog) if cfg.paths.param_table else None
     if with_wte and table is None:
         raise ConfigError("variant 'deload' needs paths.param_table (run fit first)")
     policy_cfg = dataclasses.replace(cfg.policy, include_watch_estimates=with_wte)
@@ -169,10 +187,8 @@ def cmd_train(args) -> int:
     net, logs = train_policy(
         traces, catalog, retention, table, policy_cfg, cfg.train, cfg.sim, seed
     )
-    out_path = Path(out)
     out_path.parent.mkdir(parents=True, exist_ok=True)
     save_checkpoint(net, out_path)
-    curve_path = out_path.with_name(out_path.stem + "_curve.csv")
     write_learning_curve(logs, curve_path)
 
     n = len(logs)
@@ -191,7 +207,7 @@ def cmd_simulate(args) -> int:
         raise UsageError(f"--jobs: expected at least 1, got {args.jobs}")
     cfg = load_config(args.config)
     spec = experiment_spec(cfg, seed=args.seed, jobs=args.jobs)
-    report = run_experiment(spec, args.out)
+    report = run_experiment(spec, _check_output(args.out, is_dir=True))
     summary = report.summary()
     for name in summary["strategies"]:
         row = summary["per_strategy"][name]

@@ -8,7 +8,9 @@ offending path in the message. Defaults mirror the built-in constants.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import re
+import typing
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -16,7 +18,7 @@ import yaml
 
 from .harness import ConfigError, ExperimentSpec
 from .policy import LEARNED_STRATEGIES, PolicyConfig, baseline_policy
-from .ppo import RewardWeights, TrainConfig
+from .ppo import TrainConfig
 from .sim import SimConfig
 from .watchtime import FitConfig
 
@@ -36,6 +38,9 @@ class PathsConfig:
 
 @dataclass(frozen=True)
 class AppConfig:
+    """The whole config file: each field a top-level key, each dataclass
+    field a section of its own fields."""
+
     sim: SimConfig = field(default_factory=SimConfig)
     policy: PolicyConfig = field(default_factory=PolicyConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
@@ -45,15 +50,17 @@ class AppConfig:
     seed: int = 0
     jobs: int = 1
 
-
-_SECTION_TYPES = {
-    "sim": SimConfig,
-    "policy": PolicyConfig,
-    "train": TrainConfig,
-    "fit": FitConfig,
-    "paths": PathsConfig,
-    "reward": RewardWeights,
-}
+    def __post_init__(self) -> None:
+        if self.jobs < 1:
+            raise ValueError(f"jobs must be at least 1, got {self.jobs}")
+        if not self.strategies:
+            raise ValueError("strategies must be a non-empty list")
+        for s in self.strategies:
+            if s not in LEARNED_STRATEGIES:  # these need a checkpoint to build
+                try:
+                    baseline_policy(s)
+                except ValueError as err:
+                    raise ValueError(f"strategies: {err}") from None
 
 
 def _coerce(value, target_type, where: str):
@@ -61,6 +68,8 @@ def _coerce(value, target_type, where: str):
     if target_type is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise ConfigError(f"{where}: expected a number, got {value!r}")
+        if value != value:
+            raise ConfigError(f"{where}: expected a number, got NaN")
         return float(value)
     if target_type is int:
         if isinstance(value, bool) or not isinstance(value, int):
@@ -77,43 +86,39 @@ def _coerce(value, target_type, where: str):
     if origin is tuple:
         if not isinstance(value, (list, tuple)):
             raise ConfigError(f"{where}: expected a list, got {value!r}")
-        args = target_type.__args__
-        elem = args[0]
+        elem = target_type.__args__[0]
         return tuple(_coerce(v, elem, f"{where}[{i}]") for i, v in enumerate(value))
-    # Fallback: accept as-is (e.g. nested dataclasses are handled separately).
-    return value
+    raise TypeError(f"{where}: no config coercion for {target_type!r}")
 
 
-def _build(cls, mapping: dict, where: str):
+def _build(cls, mapping, where: str = ""):
+    """`cls` from a YAML mapping of some of its fields, each coerced to its
+    type hint and a dataclass-typed one built from its own mapping; the
+    rest keep their defaults. `where` is the mapping's dotted key, empty at
+    the top level, and prefixes every error."""
     if not isinstance(mapping, dict):
-        raise ConfigError(f"{where}: expected a mapping")
+        raise ConfigError(f"{where or 'top level'}: expected a mapping")
     known = {f.name: f for f in dataclasses.fields(cls)}
     unknown = set(mapping) - set(known)
     if unknown:
-        raise ConfigError(f"{where}: unknown keys {sorted(unknown)}")
-    kwargs = {}
+        raise ConfigError(f"{where or 'top level'}: unknown keys {sorted(unknown)}")
     hints = _resolved_hints(cls)
+    kwargs = {}
     for name, value in mapping.items():
-        f = known[name]
-        if dataclasses.is_dataclass(hints[name]):
-            kwargs[name] = _build(hints[name], value, f"{where}.{name}")
-        else:
-            kwargs[name] = _coerce(value, hints[name], f"{where}.{name}")
+        key = f"{where}.{name}" if where else name
+        if "not_in_config" in known[name].metadata:
+            raise ConfigError(f"{key}: not a config key; {known[name].metadata['not_in_config']}")
+        hint = hints[name]
+        kwargs[name] = _build(hint, value, key) if dataclasses.is_dataclass(hint) else _coerce(value, hint, key)
     try:
         return cls(**kwargs)
     except (TypeError, ValueError) as err:
-        raise ConfigError(f"{where}: {err}")
+        raise ConfigError(f"{where}: {err}" if where else str(err))
 
 
-_HINT_CACHE: dict = {}
-
-
-def _resolved_hints(cls):
-    if cls not in _HINT_CACHE:
-        import typing
-
-        _HINT_CACHE[cls] = typing.get_type_hints(cls)
-    return _HINT_CACHE[cls]
+@functools.cache
+def _resolved_hints(cls) -> dict:
+    return typing.get_type_hints(cls)
 
 
 class _ConfigLoader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
@@ -137,47 +142,7 @@ def load_config(path) -> AppConfig:
         raise ConfigError(f"cannot read config {path}: {err}")
     except yaml.YAMLError as err:
         raise ConfigError(f"{path}: invalid YAML: {err}")
-    if doc is None:
-        doc = {}
-    if not isinstance(doc, dict):
-        raise ConfigError(f"{path}: top level must be a mapping")
-
-    known_top = set(_SECTION_TYPES) | {"strategies", "seed", "jobs"}
-    unknown = set(doc) - known_top
-    if unknown:
-        raise ConfigError(f"{path}: unknown top-level keys {sorted(unknown)}")
-
-    sections = {}
-    for name, cls in _SECTION_TYPES.items():
-        if name in doc:
-            sections[name] = _build(cls, doc[name], name)
-    sim = sections.get("sim", SimConfig())
-    if "reward" in sections:
-        sim = dataclasses.replace(sim, reward=sections["reward"])
-
-    strategies = _coerce(doc.get("strategies", AppConfig.strategies), tuple[str, ...], "strategies")
-    if not strategies:
-        raise ConfigError("strategies: expected a non-empty list")
-    for s in strategies:
-        if s not in LEARNED_STRATEGIES:  # these need a checkpoint to build
-            try:
-                baseline_policy(s)
-            except ValueError as err:
-                raise ConfigError(f"strategies: {err}")
-
-    cfg = AppConfig(
-        sim=sim,
-        policy=sections.get("policy", PolicyConfig()),
-        train=sections.get("train", TrainConfig()),
-        fit=sections.get("fit", FitConfig()),
-        paths=sections.get("paths", PathsConfig()),
-        strategies=strategies,
-        seed=_coerce(doc.get("seed", 0), int, "seed"),
-        jobs=_coerce(doc.get("jobs", 1), int, "jobs"),
-    )
-    if cfg.jobs < 1:
-        raise ConfigError(f"jobs: expected at least 1, got {cfg.jobs}")
-    return _resolve_paths(cfg, Path(path).parent)
+    return _resolve_paths(_build(AppConfig, {} if doc is None else doc), Path(path).parent)
 
 
 def _resolve_paths(cfg: AppConfig, base: Path) -> AppConfig:

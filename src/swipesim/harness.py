@@ -17,6 +17,7 @@ import itertools
 import json
 import math
 import operator
+from collections.abc import Iterable
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -37,7 +38,7 @@ from .policy import (
 )
 from .ppo import EpisodeLog, TrainConfig, train
 from .sim import RetentionSource, SimConfig, SessionMetrics, run_session
-from .watchtime import LadderMissingError, ParamTable, WeibullParams
+from .watchtime import LadderMissingError, ParamTable, WeibullParams, bucket_for
 
 
 class DataError(Exception):
@@ -221,14 +222,24 @@ def load_retention(path) -> RetentionSource:
     )
 
 
-def load_param_table(path) -> ParamTable:
-    """`ParamTable.load`, with a missing or malformed file as a DataError."""
+def load_param_table(path, catalog: Iterable[VideoMeta] = ()) -> ParamTable:
+    """`ParamTable.load`, with a missing or malformed file as a DataError,
+    as is a table with no duration-bucket fit for some `catalog` video:
+    every session that drew that video would fail."""
     try:
-        return ParamTable.load(path)
+        table = ParamTable.load(path)
     except (OSError, UnicodeDecodeError) as err:
         raise _unreadable(path, err)
     except ValueError as err:  # names the file and line
         raise DataError(str(err))
+    for meta in catalog:
+        bucket = bucket_for(meta.duration_s, table.bucket_edges)
+        if bucket not in table.ladder:
+            raise DataError(
+                f"{path}: no duration-bucket fit for bucket {bucket}, which holds video "
+                f"{meta.video_id} (duration {meta.duration_s}s)"
+            )
+    return table
 
 
 @dataclass(frozen=True)
@@ -485,7 +496,7 @@ def run_experiment(spec: ExperimentSpec, out_dir) -> Report:
     traces = ingest_traces(spec.traces_glob)
     catalog = load_catalog(spec.videos_path)
     retention = load_retention(spec.retention_path)
-    table = load_param_table(spec.param_table_path) if spec.param_table_path else None
+    table = load_param_table(spec.param_table_path, catalog) if spec.param_table_path else None
     strategies = build_strategies(spec)
 
     tasks = [
@@ -517,9 +528,13 @@ def write_report(report: Report, out_dir) -> None:
     with open(out / "actions.csv", "w") as fh:
         fh.write(_ACTIONS_HEADER + "\n")
         for r in report.runs:
-            columns = (np.asarray(r.actions[name]).tolist() for name, _ in ACTION_COLUMNS)
-            for t, vi, d, b, q, rew in zip(*columns):
-                fh.write(f"{r.strategy},{r.trace_id},{t!r},{vi},{d!r},{b!r},{q!r},{rew!r}\n")
+            # One string per run from C-level maps and joins: as fast as a
+            # per-row f-string, where a per-row join in Python is a fifth slower.
+            head = f"{r.strategy},{r.trace_id},"
+            columns = (map(repr, np.asarray(r.actions[name]).tolist()) for name, _ in ACTION_COLUMNS)
+            rows = ("\n" + head).join(map(",".join, zip(*columns)))
+            if rows:
+                fh.write(head + rows + "\n")
     with open(out / "summary.json", "w") as fh:
         json.dump(report.summary(), fh, indent=2, sort_keys=True)
         fh.write("\n")

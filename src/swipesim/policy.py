@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from typing import Sequence
 
 import numpy as np
@@ -41,7 +41,8 @@ class PolicyConfig:
     """Constants for state encoding and the action range.
 
     `include_watch_estimates` is cleared for the estimation-free variant,
-    which zeroes the high/low watch-time features.
+    which zeroes the high/low watch-time features. It is not a config key:
+    the variant decides it.
     """
 
     k: int = 5
@@ -53,7 +54,10 @@ class PolicyConfig:
     throughput_cap_mbps: float = 100.0
     rtt_cap_ms: float = 1000.0
     hidden_sizes: tuple[int, ...] = (128, 64)
-    include_watch_estimates: bool = True
+    include_watch_estimates: bool = field(
+        default=True,
+        metadata={"not_in_config": "`train --variant` sets it and `simulate` reads it from the checkpoint"},
+    )
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -336,6 +340,10 @@ def gaussian_log_prob(x: float, mean: float, stddev: float) -> float:
 # --- checkpoint serialization ------------------------------------------------
 
 CHECKPOINT_MAGIC = "rangenet-v1"
+# The config line holds PolicyConfig's scalar fields in declaration order (a
+# bool as 0 or 1), then the word `hidden` and the `hidden_sizes` entries.
+_CONFIG_SCALARS = tuple(f for f in fields(PolicyConfig) if f.name != "hidden_sizes")
+_PARSE_SCALAR = {int: int, float: float, bool: lambda text: bool(int(text))}
 
 
 def save_checkpoint(net: MlpNet, path) -> None:
@@ -343,26 +351,9 @@ def save_checkpoint(net: MlpNet, path) -> None:
     layer as a shape line followed by row-major weight rows and a bias row.
     Floats round-trip exactly via repr."""
     cfg = net.cfg
-    lines = [CHECKPOINT_MAGIC]
-    lines.append(
-        "config "
-        + " ".join(
-            repr(x)
-            for x in (
-                cfg.k,
-                cfg.e_high,
-                cfg.e_low,
-                cfg.range_min_s,
-                cfg.range_max_s,
-                cfg.duration_cap_s,
-                cfg.throughput_cap_mbps,
-                cfg.rtt_cap_ms,
-                int(cfg.include_watch_estimates),
-            )
-        )
-        + " hidden "
-        + " ".join(str(h) for h in cfg.hidden_sizes)
-    )
+    values = (getattr(cfg, f.name) for f in _CONFIG_SCALARS)
+    scalars = [repr(int(v) if isinstance(v, bool) else v) for v in values]
+    lines = [CHECKPOINT_MAGIC, " ".join(["config", *scalars, "hidden", *map(str, cfg.hidden_sizes)])]
     for name, mlp in (("actor", net.actor), ("critic", net.critic)):
         lines.append(f"net {name} layers {mlp.n_layers}")
         for i, (w, b) in enumerate(zip(mlp.weights, mlp.biases)):
@@ -391,18 +382,11 @@ def load_checkpoint(path) -> MlpNet:
             raise ValueError("malformed config line")
         h_at = cfg_parts.index("hidden")
         vals = cfg_parts[1:h_at]
-        hidden = tuple(int(x) for x in cfg_parts[h_at + 1 :])
+        if len(vals) != len(_CONFIG_SCALARS):
+            raise ValueError(f"expected {len(_CONFIG_SCALARS)} config values, got {len(vals)}")
         cfg = PolicyConfig(
-            k=int(vals[0]),
-            e_high=float(vals[1]),
-            e_low=float(vals[2]),
-            range_min_s=float(vals[3]),
-            range_max_s=float(vals[4]),
-            duration_cap_s=float(vals[5]),
-            throughput_cap_mbps=float(vals[6]),
-            rtt_cap_ms=float(vals[7]),
-            include_watch_estimates=bool(int(vals[8])),
-            hidden_sizes=hidden,
+            **{f.name: _PARSE_SCALAR[type(f.default)](text) for f, text in zip(_CONFIG_SCALARS, vals)},
+            hidden_sizes=tuple(int(x) for x in cfg_parts[h_at + 1 :]),
         )
         nets = {}
         idx = 2

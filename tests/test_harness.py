@@ -221,19 +221,75 @@ def test_load_config_rejects_wrong_types(tmp_path):
 
 
 def test_load_config_reads_yaml_1_2_floats(tmp_path):
-    cfg = load_config(_write_cfg(tmp_path, "train:\n  lr: 3e-4\nreward:\n  waste_clip_bits: 1.2e6\n"))
+    cfg = load_config(_write_cfg(tmp_path, "train:\n  lr: 3e-4\nsim:\n  reward:\n    waste_clip_bits: 1.2e6\n"))
     assert cfg.train.lr == 3e-4
     assert cfg.sim.reward.waste_clip_bits == 1.2e6
-    with pytest.raises(ConfigError, match=r"reward.waste_clip_bits: expected a number, got '1e6x'"):
-        load_config(_write_cfg(tmp_path, "reward:\n  waste_clip_bits: 1e6x\n"))
+    with pytest.raises(ConfigError, match=r"sim.reward.waste_clip_bits: expected a number, got '1e6x'"):
+        load_config(_write_cfg(tmp_path, "sim:\n  reward:\n    waste_clip_bits: 1e6x\n"))
     # PyYAML's own loaders still read YAML 1.1.
     assert yaml.safe_load("lr: 3e-4") == {"lr": "3e-4"}
 
 
 def test_load_config_reward_section_lands_in_sim(tmp_path):
-    cfg = load_config(_write_cfg(tmp_path, "reward:\n  alpha: 0.5\n"))
+    cfg = load_config(_write_cfg(tmp_path, "sim:\n  reward:\n    alpha: 0.5\n"))
     assert cfg.sim.reward.alpha == 0.5
     assert cfg.sim.reward.stall_beta == 1.85
+    # `sim.reward` is the one spelling: a top-level section would replace
+    # the whole RewardWeights, dropping `stall_beta` here.
+    path = _write_cfg(tmp_path, "sim:\n  reward:\n    stall_beta: 3.0\nreward:\n  alpha: 0.5\n")
+    with pytest.raises(ConfigError, match=re.escape("top level: unknown keys ['reward']")):
+        load_config(path)
+
+
+# One non-default valid value for every config key.
+_EVERY_KEY = {
+    "sim": {
+        "step_ms": 50.0, "queue_depth": 3, "b_max_s": 8.0, "pause_ms": 250.0, "rtt_min_ms": 30.0,
+        "rtt_max_ms": 90.0, "throughput_window": 7, "prior_throughput_mbps": 2.5, "prior_rtt_ms": 60.0,
+        "abr_safety": 0.9, "videos_per_session": 9, "max_session_s": 1800.0,
+        "reward": {"alpha": 0.02, "stall_beta": 2.5, "waste_clip_bits": 2.0e6},
+    },
+    "policy": {
+        "k": 4, "e_high": 0.8, "e_low": 0.2, "range_min_s": 0.5, "range_max_s": 10.0,
+        "duration_cap_s": 90.0, "throughput_cap_mbps": 50.0, "rtt_cap_ms": 500.0, "hidden_sizes": [32, 16],
+    },
+    "train": {
+        "lr": 3e-4, "clip_eps": 0.1, "epochs": 2, "discount": 0.9, "use_gae": True, "gae_lambda": 0.9,
+        "entropy_coef": 0.01, "normalize_advantages": False, "episodes": 10, "batch_episodes": 2,
+    },
+    "fit": {"n_min": 10, "min_r2": 0.5, "gamma_grid": 64, "bucket_edges": [0.0, 30.0, math.inf]},
+    "paths": {
+        "traces_glob": "/data/traces/*.csv", "videos": "/data/videos.csv", "retention": "/data/r.csv",
+        "watch_records": "/data/w.csv", "param_table": "/data/pt.csv", "checkpoint": "/data/a.ckpt",
+        "no_wte_checkpoint": "/data/b.ckpt",
+    },
+    "strategies": ["deload_no_wte", "deload_2s"],
+    "seed": 7,
+    "jobs": 2,
+}
+
+
+def _leaves(node, prefix=""):
+    """(dotted key, value) of every leaf of a config dataclass or of a
+    mapping of its keys, lists as tuples, skipping fields that are not
+    config keys."""
+    if dataclasses.is_dataclass(node):
+        fields = dataclasses.fields(node)
+        node = {f.name: getattr(node, f.name) for f in fields if "not_in_config" not in f.metadata}
+    for key, value in node.items():
+        if isinstance(value, dict) or dataclasses.is_dataclass(value):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield f"{prefix}{key}", tuple(value) if isinstance(value, list) else value
+
+
+def test_load_config_reads_every_key(tmp_path):
+    cfg = load_config(_write_cfg(tmp_path, yaml.safe_dump(_EVERY_KEY)))
+    want, default = dict(_leaves(_EVERY_KEY)), dict(_leaves(load_config(_write_cfg(tmp_path, ""))))
+    assert want.keys() == default.keys()  # every key is set here...
+    assert all(want[k] != default[k] for k in want)  # ...to a value other than its default
+    assert dict(_leaves(cfg)) == want
+    assert cfg.policy.include_watch_estimates
 
 
 def test_load_config_rejects_unknown_strategy(tmp_path):
@@ -760,6 +816,18 @@ def test_fixed_range_sweep_runs_with_the_suites_config(pipeline, tmp_path):
         # A non-positive clip inverts np.clip's bounds: the clipped ratio is 0.
         ("train", "train", {"clip_eps": -1.0}, "clip_eps"),
         ("train", "train", {"clip_eps": 0.0}, "clip_eps"),
+        # NaN passes every range check that compares; no float key takes it.
+        ("simulate", "sim", {"prior_throughput_mbps": math.nan}, "sim.prior_throughput_mbps"),
+        ("train", "train", {"entropy_coef": math.nan}, "train.entropy_coef"),
+        ("fit", "fit", {"min_r2": math.nan}, "fit.min_r2"),  # would switch the R^2 gate off
+        ("fit", "fit", {"bucket_edges": [0.0, math.nan, math.inf]}, "fit.bucket_edges[1]"),
+        ("simulate", "sim", {"reward": {"alpha": math.nan}}, "sim.reward.alpha"),
+        # `sim.reward` is the one spelling of the reward weights.
+        ("simulate", None, {"reward": {"alpha": 0.5}}, "'reward'"),
+        # The variant decides it: `train` would overwrite it and `simulate`
+        # read the checkpoint's.
+        ("train", "policy", {"include_watch_estimates": False}, "policy.include_watch_estimates"),
+        ("simulate", "policy", {"include_watch_estimates": True}, "--variant"),
     ],
 )
 def test_cli_rejects_values_the_engine_or_trainer_cannot_run(
@@ -805,6 +873,53 @@ def test_cli_rejects_b_max_at_or_below_the_issue_floor(pipeline, tmp_path, capsy
     err = capsys.readouterr().err
     assert err.startswith("error: sim") and "b_max_s" in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "command, out, named, kind",
+    [
+        ("train", "existing-dir", "existing-dir", "a directory"),
+        ("train", "deload.ckpt", "deload_curve.csv", "a directory"),  # the learning curve's path
+        ("fit", "existing-dir", "existing-dir", "a directory"),
+        ("simulate", "existing-file", "existing-file", "a file"),
+        ("fit", "existing-file/table.csv", "existing-file/table.csv", "not a directory"),
+        ("simulate", "existing-file/run", "existing-file/run", "not a directory"),
+    ],
+)
+def test_cli_rejects_an_unwritable_output_before_any_work(pipeline, tmp_path, capsys, command, out, named, kind):
+    (tmp_path / "existing-dir").mkdir()
+    (tmp_path / "deload_curve.csv").mkdir()
+    (tmp_path / "existing-file").write_text("keep\n")
+    path = _suite_config(pipeline, tmp_path)
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli_main([command, "--config", str(path), "--out", str(tmp_path / out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: output {tmp_path / named}") and kind in captured.err
+    assert captured.out == "" and sorted(tmp_path.rglob("*")) == before
+    assert (tmp_path / "existing-file").read_text() == "keep\n"
+
+
+def test_cli_rejects_a_table_that_cannot_serve_the_catalog(pipeline, tmp_path, capsys):
+    """A fit whose R^2 gate drops every group writes an empty table; a run
+    on it fails before its first session, naming the table and a video."""
+    table = tmp_path / "table.csv"
+    path = _suite_config(pipeline, tmp_path, param_table=table)
+    doc = yaml.safe_load(path.read_text())
+    doc["fit"] = {"min_r2": 2.0}
+    path.write_text(yaml.safe_dump(doc))
+    assert cli_main(["fit", "--config", str(path)]) == 0
+    assert table.read_text() == ""
+    videos = [line.split(",")[0] for line in (pipeline[0] / "videos.csv").read_text().splitlines()[1:]]
+    for argv, out in (
+        (["simulate", "--out", str(tmp_path / "run")], tmp_path / "run"),
+        (["train", "--variant", "deload_no_wte", "--out", str(tmp_path / "a.ckpt")], tmp_path / "a.ckpt"),
+    ):
+        capsys.readouterr()
+        assert cli_main([*argv, "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"data error: {table}: no duration-bucket fit") and f"video {videos[0]} " in err
+        assert not out.exists()
 
 
 def test_cli_rejects_b_max_at_or_below_the_checkpoints_floor(pipeline, tmp_path, capsys):

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -580,6 +581,43 @@ def test_checkpoint_round_trip(tmp_path):
 
     state = np.random.default_rng(1).random(cfg.state_dim)
     assert policy_forward(net, state) == policy_forward(loaded, state)
+
+
+def test_checkpoint_round_trips_every_policy_field(tmp_path):
+    cfg = PolicyConfig(
+        k=4,
+        e_high=0.8,
+        e_low=0.25,
+        range_min_s=0.5,
+        range_max_s=9.5,
+        duration_cap_s=90.0,
+        throughput_cap_mbps=50.0,
+        rtt_cap_ms=400.0,
+        hidden_sizes=(12, 6, 3),
+        include_watch_estimates=False,
+    )
+    default = PolicyConfig()
+    assert all(getattr(cfg, f.name) != getattr(default, f.name) for f in dataclasses.fields(PolicyConfig))
+    p = tmp_path / "net.ckpt"
+    save_checkpoint(MlpNet.create(cfg, seed=3), p)
+    assert load_checkpoint(p).cfg == cfg
+
+
+def test_default_checkpoint_config_line(tmp_path):
+    p = tmp_path / "net.ckpt"
+    save_checkpoint(MlpNet.create(PolicyConfig(), seed=0), p)
+    assert p.read_text().splitlines()[1] == "config 5 0.7 0.3 0.2 12.0 120.0 100.0 1000.0 1 hidden 128 64"
+
+
+@pytest.mark.parametrize("values", ["5 0.7 0.3 0.2 12.0 120.0 100.0 1000.0", "5 0.7 0.3 0.2 12.0 120.0 100.0 1000.0 1 1"])
+def test_checkpoint_with_the_wrong_number_of_config_values_is_malformed(tmp_path, values):
+    p = tmp_path / "net.ckpt"
+    save_checkpoint(MlpNet.create(PolicyConfig(k=5, hidden_sizes=(4,)), seed=1), p)
+    lines = p.read_text().splitlines()
+    lines[1] = f"config {values} hidden 4"
+    p.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match="net.ckpt:2: malformed checkpoint: expected 9 config values"):
+        load_checkpoint(p)
 
 
 @pytest.mark.parametrize(
